@@ -159,6 +159,22 @@ class PipelineConfig:
         )
 
 
+def _prepare(buf: AudioBuffer, cfg: PipelineConfig, file_id: str):
+    """(denoise) -> VAD -> segment: the buffer to embed, and its segments."""
+    if cfg.denoise:
+        buf = spectral_gate_denoise(buf, cfg.denoise_params())
+    regions = energy_vad(
+        buf,
+        frame_ms=cfg.vad_frame_ms,
+        hop_ms=cfg.vad_hop_ms,
+        threshold_db=cfg.vad_threshold_db,
+        hangover_ms=cfg.vad_hangover_ms,
+    )
+    return buf, uniform_segment(
+        regions, window_s=cfg.window_s, hop_s=cfg.segment_hop_s, file_id=file_id
+    )
+
+
 def diarize_buffer(
     buf: AudioBuffer,
     config: PipelineConfig | None = None,
@@ -169,29 +185,19 @@ def diarize_buffer(
     """VAD -> segment -> embed -> cluster -> turns for one buffer.
 
     ``external_embeddings`` replaces the MFCC embedder with vectors
-    keyed by segment index (the embedding-file layout); it must cover
-    every segment.
+    keyed by segment index (the embedding-file layout); it must hold
+    exactly one vector per segment.
     """
     cfg = config or PipelineConfig()
-    if cfg.denoise:
-        buf = spectral_gate_denoise(buf, cfg.denoise_params())
-    regions = energy_vad(
-        buf,
-        frame_ms=cfg.vad_frame_ms,
-        hop_ms=cfg.vad_hop_ms,
-        threshold_db=cfg.vad_threshold_db,
-        hangover_ms=cfg.vad_hangover_ms,
-    )
-    segments = uniform_segment(
-        regions, window_s=cfg.window_s, hop_s=cfg.segment_hop_s, file_id=file_id
-    )
+    buf, segments = _prepare(buf, cfg, file_id)
+    want = [s.index for s in segments]
+    if external_embeddings is not None and sorted(external_embeddings) != want:
+        rows = len(external_embeddings)
+        raise ValueError(f"embedding file holds {rows} rows for {len(want)} segments")
     if not segments:
         return [], [], []
 
     if external_embeddings is not None:
-        missing = [s.index for s in segments if s.index not in external_embeddings]
-        if missing:
-            raise ValueError(f"external embeddings missing segment indices {missing}")
         embs = [external_embeddings[s.index] for s in segments]
     else:
         emb = embedder or cfg.embedder()
@@ -498,17 +504,7 @@ def cmd_train_toy(args) -> int:
 
 def cmd_export_embeddings(args) -> int:
     cfg = _load_config(args.config)
-    buf = read_wav(args.input)
-    regions = energy_vad(
-        buf,
-        frame_ms=cfg.vad_frame_ms,
-        hop_ms=cfg.vad_hop_ms,
-        threshold_db=cfg.vad_threshold_db,
-        hangover_ms=cfg.vad_hangover_ms,
-    )
-    segments = uniform_segment(
-        regions, window_s=cfg.window_s, hop_s=cfg.segment_hop_s, file_id=Path(args.input).stem
-    )
+    buf, segments = _prepare(read_wav(args.input), cfg, Path(args.input).stem)
     embedder = cfg.embedder()
     embs = [embedder.embed(buf, s) for s in segments]
     write_embeddings(args.output, embs)

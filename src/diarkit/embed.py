@@ -31,7 +31,7 @@ from .errors import (
 from .vad import Segment
 
 _PRE_EMPHASIS = 0.97
-_NFFT = 512
+_MIN_NFFT = 512
 _LOG_FLOOR = 1e-30
 
 
@@ -107,8 +107,10 @@ def _buffer_features(
     x = np.concatenate([x[:1], x[1:] - _PRE_EMPHASIS * x[:-1]])
     idx = starts[:, None] + np.arange(frame)[None, :]
     window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(frame) / (frame - 1))
-    power = np.abs(np.fft.rfft(x[idx] * window, n=_NFFT, axis=1)) ** 2
-    fb = _mel_filterbank(n_mels, _NFFT, rate)
+    # Zero-pad to a power of two; a frame longer than _MIN_NFFT is never cropped.
+    nfft = max(_MIN_NFFT, 1 << (frame - 1).bit_length())
+    power = np.abs(np.fft.rfft(x[idx] * window, n=nfft, axis=1)) ** 2
+    fb = _mel_filterbank(n_mels, nfft, rate)
     logmel = np.log(np.maximum(power @ fb.T, _LOG_FLOOR))
     cepstra = dct(logmel, type=2, norm="ortho", axis=1)[:, 1 : n_coeffs + 1]
     cepstra = cepstra - np.mean(cepstra, axis=0, keepdims=True)

@@ -11,10 +11,6 @@ class DiarkitError(Exception):
     pass
 
 
-class ClippedWarning(UserWarning):
-    """Normalization had to clamp samples into [-1, 1]."""
-
-
 # ---- audio_io ----
 
 class CorruptHeader(DiarkitError, ValueError):

@@ -4,9 +4,11 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from diarkit.audio_io import Turn, emit_rttm, parse_rttm, read_wav
+from diarkit.audio_io import Turn, emit_rttm, parse_rttm, read_wav, write_wav
+from diarkit.augment import add_noise
 from diarkit.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -16,7 +18,8 @@ from diarkit.cli import (
     PipelineConfig,
     main,
 )
-from diarkit.embed import load_external_embeddings
+from diarkit.corpus import generate_mixture
+from diarkit.embed import load_external_embeddings, write_embeddings
 
 
 @pytest.fixture(scope="module")
@@ -252,6 +255,36 @@ def test_external_embeddings_reproduce_the_mfcc_path(mixture_wav, tmp_path, caps
         ]
     )
     assert capsys.readouterr().out == internal
+
+
+def test_exported_embeddings_round_trip_with_denoise(tmp_path, capsys):
+    # On this noisy mixture VAD finds more segments after denoising, so
+    # export-embeddings must segment the denoised buffer like diarize.
+    mix, _ = generate_mixture(3, 40.0, seed=0)
+    wav = tmp_path / "noisy.wav"
+    write_wav(wav, add_noise(mix, 0.3, "white", seed=1))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"denoise": {"enabled": True}}))
+    emb_file = tmp_path / "embs.bin"
+    assert main(["export-embeddings", str(wav), str(emb_file), "--config", str(cfg)]) == EXIT_OK
+    capsys.readouterr()
+    base = ["diarize", str(wav), "--denoise", "--num-speakers", "3"]
+    assert main(base) == EXIT_OK
+    internal = capsys.readouterr().out
+    assert main(base + ["--embeddings", str(emb_file)]) == EXIT_OK
+    assert capsys.readouterr().out == internal
+
+
+def test_embedding_file_with_an_extra_row_exits_4(mixture_wav, tmp_path, capsys):
+    emb_file = tmp_path / "embs.bin"
+    main(["export-embeddings", str(mixture_wav), str(emb_file)])
+    table = load_external_embeddings(emb_file)
+    rows = [table[i].vector for i in range(len(table))]
+    write_embeddings(emb_file, np.stack(rows + rows[:1]))
+    capsys.readouterr()
+    rc = main(["diarize", str(mixture_wav), "--embeddings", str(emb_file)])
+    assert rc == EXIT_VALIDATION
+    assert f"{len(rows) + 1} rows for {len(rows)} segments" in capsys.readouterr().err
 
 
 def test_external_embeddings_rejected_for_batch_input(corpus_dir, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Clustering behavior against the brute-force linkage oracle."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -83,9 +85,11 @@ def test_two_blobs_match_oracle():
 
 def test_random_cases_match_oracle():
     rng = np.random.default_rng(7)
-    for case in range(30):
+    for case in range(42):
         n = int(rng.integers(2, 9))
         pts = rng.normal(size=(n, 4))
+        if case >= 30:  # exact duplicate rows, so merge distances tie
+            pts = pts[rng.integers(0, max(1, n // 2), size=n)]
         if case % 3 == 0:
             stop = {"k": int(rng.integers(1, n + 1))}
             labels, trace = average_linkage_oracle(pts, k=stop["k"])
@@ -100,6 +104,25 @@ def test_random_cases_match_oracle():
         assert [d for _, _, d in res.merge_trace] == pytest.approx(
             [d for _, _, d in trace], abs=1e-9
         )
+
+
+def test_single_embedding_is_one_cluster():
+    for stop in ({"k": 1}, {"threshold": 0.5}):
+        res = agglomerative_cluster(_embs([[1.0, 2.0]]), stop)
+        assert res.labels == (0,)
+        assert res.merge_trace == ()
+    with pytest.raises(ZeroVector):
+        agglomerative_cluster(_embs([[0.0, 0.0]]), {"k": 1})
+
+
+def test_two_thousand_segments_cluster_within_budget():
+    # Guards against a return to per-merge rescans, which cost O(n^3).
+    embs = _embs(np.random.default_rng(12).normal(size=(2000, 52)))
+    start = time.perf_counter()
+    res = agglomerative_cluster(embs, {"k": 4})
+    assert time.perf_counter() - start < 2.0
+    assert res.n_clusters == 4
+    assert len(res.merge_trace) == 1996
 
 
 def test_merge_distances_non_decreasing():

@@ -83,6 +83,18 @@ def test_feature_shape():
     assert f.shape == (148, 39)
 
 
+def test_frames_longer_than_512_samples_reach_the_spectrum():
+    # 25 ms at 48 kHz is 1200 samples. Two frames start at 0 and 480;
+    # the tone sits only in the last 480 samples, so it reaches frame 1
+    # past its 512th sample and never reaches frame 0.
+    rate = 48000
+    x = np.zeros(1680)
+    x[1200:] = 0.5 * np.sin(2 * np.pi * 1000.0 * np.arange(480) / rate)
+    f = mfcc_features(AudioBuffer(x, rate), _seg(0.0, 0.035))
+    assert f.shape[0] == 2
+    assert np.max(np.abs(f[1] - f[0])) > 1.0
+
+
 def test_pool_constant_features_have_zero_std():
     f = np.tile(np.arange(39.0), (10, 1))
     emb = pool_embedding(f)
