@@ -7,11 +7,14 @@ caller resamples explicitly.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     CorruptHeader,
@@ -28,9 +31,11 @@ _FMT_PCM = 0x0001
 _FMT_IEEE_FLOAT = 0x0003
 
 # Resampler kernel: Kaiser-windowed sinc, 16 zero crossings per side at the
-# lower of the two rates.
+# lower of the two rates, tabulated once per phase of a rational ratio. Float
+# ratios are rounded to the nearest fraction with denominator <= 1000.
 _SINC_HALF_WIDTH = 16
 _KAISER_BETA = 8.6
+_MAX_DENOMINATOR = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,39 +216,53 @@ def resample(buf: AudioBuffer, target_rate_hz: int) -> AudioBuffer:
         raise ValueError("target_rate_hz must be positive")
     if target_rate_hz == buf.sample_rate_hz:
         return buf
-    out = sinc_interp(buf.samples.astype(np.float64), target_rate_hz / buf.sample_rate_hz)
+    out = sinc_interp(
+        buf.samples.astype(np.float64), Fraction(target_rate_hz, buf.sample_rate_hz)
+    )
     return AudioBuffer(out, target_rate_hz)
 
 
-def sinc_interp(x: np.ndarray, ratio: float) -> np.ndarray:
+def sinc_interp(x: np.ndarray, ratio: float | Fraction) -> np.ndarray:
     """Evaluate x at positions n/ratio, n = 0..round(len(x)*ratio)-1.
 
     The kernel is sinc lowpassed to the narrower of the two Nyquist bands
     (cutoff = min(1, ratio)) under a Kaiser window, so downsampling
-    anti-aliases and upsampling interpolates. Also the engine behind the
-    playback-rate change in the augmentation module, hence the float ratio.
+    anti-aliases and upsampling interpolates; samples outside x count as
+    zero. A Fraction ratio (rate conversion) is used exactly; a float
+    ratio (the augmentation module's playback-rate change) becomes the
+    nearest up/down with down <= 1000. Output n sits at input sample
+    (n*down)//up plus phase p/up, p = (n*down) % up, so the weights come
+    from an (up, taps) table built once per call.
     """
-    n_out = int(np.floor(len(x) * ratio + 0.5))
+    n_out = math.floor(len(x) * ratio + Fraction(1, 2))
     if n_out <= 0 or len(x) == 0:
         return np.zeros(0)
-    cutoff = min(1.0, ratio)
+    if not isinstance(ratio, Fraction):
+        ratio = Fraction(float(ratio)).limit_denominator(_MAX_DENOMINATOR)
+    if ratio == 0:
+        raise ValueError(f"resampling ratio below 1/{2 * _MAX_DENOMINATOR}")
+    up, down = ratio.numerator, ratio.denominator
+    cutoff = min(1.0, up / down)
     half = _SINC_HALF_WIDTH / cutoff
     n_taps = 2 * int(np.ceil(half)) + 1
-    offsets = np.arange(n_taps, dtype=np.int64)
-    i0_beta = np.i0(_KAISER_BETA)
 
+    # Row p holds the weights of taps base[p] .. base[p]+n_taps-1 around
+    # input sample 0 for an output at fractional position p/up.
+    frac = np.arange(up, dtype=np.float64) / up
+    base = np.floor(frac - half).astype(np.int64) + 1
+    u = frac[:, None] - (base[:, None] + np.arange(n_taps)[None, :])
+    v2 = (u / half) ** 2
+    win = np.where(v2 < 1.0, np.i0(_KAISER_BETA * np.sqrt(np.maximum(1.0 - v2, 0.0))), 0.0)
+    table = cutoff * np.sinc(cutoff * u) * win / np.i0(_KAISER_BETA)
+
+    # Zero padding stands in for the samples outside x; every window
+    # reaches at most n_taps past either end.
+    windows = sliding_window_view(np.pad(x, n_taps), n_taps)
     out = np.empty(n_out)
     chunk = 8192
     for a in range(0, n_out, chunk):
-        b = min(n_out, a + chunk)
-        t = np.arange(a, b, dtype=np.float64) / ratio
-        j = (np.floor(t - half).astype(np.int64) + 1)[:, None] + offsets[None, :]
-        u = t[:, None] - j
-        v = u / half
-        win = np.zeros_like(v)
-        inside = np.abs(v) < 1.0
-        win[inside] = np.i0(_KAISER_BETA * np.sqrt(1.0 - v[inside] ** 2)) / i0_beta
-        w = cutoff * np.sinc(cutoff * u) * win
-        w[(j < 0) | (j >= len(x))] = 0.0
-        out[a:b] = np.einsum("ij,ij->i", w, x[np.clip(j, 0, len(x) - 1)])
+        pos = np.arange(a, min(n_out, a + chunk), dtype=np.int64) * down
+        phase = pos % up
+        first = pos // up + base[phase] + n_taps
+        out[a : a + len(pos)] = np.einsum("ij,ij->i", table[phase], windows[first])
     return out

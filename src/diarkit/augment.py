@@ -9,6 +9,7 @@ deterministic under their seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -62,7 +63,7 @@ def _babble(n: int, rate: int, rng) -> np.ndarray:
             pool[int(i)], duration, seed=int(rng.integers(0, 2**31))
         ).samples.astype(np.float64)
         if rate != 16_000:
-            stream = sinc_interp(stream, rate / 16_000.0)
+            stream = sinc_interp(stream, Fraction(rate, 16_000))
         if len(stream) < n:
             stream = np.pad(stream, (0, n - len(stream)))
         total += np.roll(stream[:n], int(rng.integers(0, n)))

@@ -15,13 +15,13 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .audio_io import AudioBuffer, Turn, emit_rttm, parse_rttm, read_wav, write_wav
-from .augment import AugmentSpec, augment_file, rescale_turns
+from .augment import AugmentSpec, add_noise, augment_file, rescale_turns
 from .cluster import agglomerative_cluster, labels_to_turns
 from .corpus import DEFAULT_LAYOUT, DEFAULT_SPLIT, CorpusManifest, generate_dataset
 from .embed import Embedding, MfccEmbedder, load_external_embeddings, write_embeddings
@@ -400,21 +400,23 @@ def cmd_augment(args) -> int:
         speed_factor=args.speed,
         rng_seed=_env_seed(args.seed),
     )
-    clean_spec = AugmentSpec(
-        noise_intensity=0.0,
-        pitch_semitones=spec.pitch_semitones,
-        speed_factor=spec.speed_factor,
-    )
-    staged = augment_file(buf, clean_spec)
-    out = augment_file(buf, spec)
+    turns = None
+    if args.rttm:
+        turns = parse_rttm(Path(args.rttm).read_text(encoding="utf-8"))
+        if len({t.file_id for t in turns}) > 1:
+            raise ValueError(f"{args.rttm}: --rttm must describe one file")
+    # Speed and pitch run once; the noise-free stage is the SNR reference.
+    staged = augment_file(buf, replace(spec, noise_intensity=0.0))
+    out = add_noise(staged, spec.noise_intensity, spec.noise_kind, seed=spec.rng_seed)
     write_wav(args.output, out)
     line = f"wrote {args.output}"
     if spec.noise_intensity > 0:
         line += f" (SNR {estimate_snr_db(out, staged):.1f} dB)"
     print(line)
-    if args.rttm:
-        turns = parse_rttm(Path(args.rttm).read_text(encoding="utf-8"))
-        scaled = rescale_turns(turns, spec.speed_factor)
+    if turns is not None:
+        # The rescaled turns describe the new WAV, so they take its stem.
+        stem = Path(args.output).stem
+        scaled = [replace(t, file_id=stem) for t in rescale_turns(turns, spec.speed_factor)]
         out_rttm = args.out_rttm or str(Path(args.output).with_suffix(".rttm"))
         Path(out_rttm).write_text(emit_rttm(scaled), encoding="utf-8")
         print(f"wrote {out_rttm}")

@@ -129,7 +129,11 @@ def _segment_rows(
             f"segment [{segment.onset_s}, {segment.offset_s}] ends past the "
             f"{buf.duration_s:.3f} s buffer"
         )
-    rows = np.flatnonzero((starts >= on) & (starts + frame <= off))
+    # starts is ascending: rows run from the first start at or after on to
+    # the last start whose frame ends by off.
+    lo = int(np.searchsorted(starts, on, side="left"))
+    hi = int(np.searchsorted(starts, off - frame, side="right"))
+    rows = np.arange(lo, max(lo, hi))
     if len(rows) == 0:
         raise TooShort(
             f"segment [{segment.onset_s}, {segment.offset_s}] holds no full "

@@ -386,6 +386,30 @@ def test_augment_speed_rescales_audio_and_rttm(corpus_dir, tmp_path, capsys):
         assert a.duration_s == pytest.approx(b.duration_s / 1.1, abs=5e-4)
 
 
+def test_augment_to_a_new_stem_then_diarize_and_evaluate(corpus_dir, tmp_path, capsys):
+    wav = corpus_dir / "2" / "2_000.wav"
+    out_wav = tmp_path / "renamed.wav"
+    rc = main(["augment", str(wav), str(out_wav), "--speed", "1.1",
+               "--rttm", str(corpus_dir / "2" / "2_000.rttm")])
+    assert rc == EXIT_OK
+    ref = tmp_path / "renamed.rttm"
+    assert {t.file_id for t in parse_rttm(ref.read_text())} == {"renamed"}
+    hyp = tmp_path / "hyp.rttm"
+    assert main(["diarize", str(out_wav), "--num-speakers", "2", "--out-rttm", str(hyp)]) == EXIT_OK
+    assert main(["evaluate", "--ref", str(ref), "--hyp", str(hyp)]) == EXIT_OK
+    assert "DER: " in capsys.readouterr().out
+
+
+def test_augment_rttm_of_two_files_exits_4(mixture_wav, tmp_path, capsys):
+    rttm = tmp_path / "two.rttm"
+    rttm.write_text(emit_rttm([Turn("a", "s0", 0.0, 1.0), Turn("b", "s0", 1.0, 1.0)]))
+    out_wav = tmp_path / "x.wav"
+    rc = main(["augment", str(mixture_wav), str(out_wav), "--rttm", str(rttm)])
+    assert rc == EXIT_VALIDATION
+    assert "one file" in capsys.readouterr().err
+    assert not out_wav.exists()
+
+
 def test_augment_out_of_range_speed_exits_4(mixture_wav, tmp_path, capsys):
     rc = main(
         ["augment", str(mixture_wav), str(tmp_path / "x.wav"), "--speed", "1.5"]

@@ -95,6 +95,25 @@ def test_frames_longer_than_512_samples_reach_the_spectrum():
     assert np.max(np.abs(f[1] - f[0])) > 1.0
 
 
+def test_segment_rows_are_the_frames_inside_the_segment():
+    # Every 25 ms frame (10 ms hop) lying wholly inside the segment, and no
+    # other, including segments whose edges fall exactly on frame edges.
+    buf = white(1.0, seed=3)
+    full = mfcc_features(buf, _seg(0.0, 1.0))
+    starts = np.arange(0, RATE - 400 + 1, 160)
+    rng = np.random.default_rng(11)
+    edges = [(0.0, 0.025), (0.01, 0.045), (0.3, 0.3 + 0.025 + 0.16), (0.975, 1.0)]
+    edges += [tuple(sorted(rng.uniform(0.0, 1.0, 2))) for _ in range(30)]
+    for on, off in edges:
+        lo, hi = round(on * RATE), round(off * RATE)
+        want = (starts >= lo) & (starts + 400 <= hi)
+        if not want.any():
+            with pytest.raises(TooShort):
+                mfcc_features(buf, _seg(on, off))
+            continue
+        np.testing.assert_array_equal(mfcc_features(buf, _seg(on, off)), full[want])
+
+
 def test_pool_constant_features_have_zero_std():
     f = np.tile(np.arange(39.0), (10, 1))
     emb = pool_embedding(f)
