@@ -31,11 +31,14 @@ _FMT_PCM = 0x0001
 _FMT_IEEE_FLOAT = 0x0003
 
 # Resampler kernel: Kaiser-windowed sinc, 16 zero crossings per side at the
-# lower of the two rates, tabulated once per phase of a rational ratio. Float
-# ratios are rounded to the nearest fraction with denominator <= 1000.
+# lower of the two rates, tabulated once per call by fractional input offset.
+# A ratio up/down with up, down <= 1000 (or the double nearest one) needs the
+# `up` offsets p/up only; any other ratio reads its weights off a grid of
+# 4096 * cutoff offsets per input sample, interpolated linearly.
 _SINC_HALF_WIDTH = 16
 _KAISER_BETA = 8.6
 _MAX_DENOMINATOR = 1000
+_GRID_STEPS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,41 +231,60 @@ def sinc_interp(x: np.ndarray, ratio: float | Fraction) -> np.ndarray:
     The kernel is sinc lowpassed to the narrower of the two Nyquist bands
     (cutoff = min(1, ratio)) under a Kaiser window, so downsampling
     anti-aliases and upsampling interpolates; samples outside x count as
-    zero. A Fraction ratio (rate conversion) is used exactly; a float
-    ratio (the augmentation module's playback-rate change) becomes the
-    nearest up/down with down <= 1000. Output n sits at input sample
-    (n*down)//up plus phase p/up, p = (n*down) % up, so the weights come
-    from an (up, taps) table built once per call.
+    zero. Output n reads the taps around input floor(n/ratio) with weights
+    that depend only on the fractional offset of n/ratio, so they come from
+    a table built once per call. When ratio is up/down with up, down <= 1000
+    (a Fraction, or the double nearest such a fraction, e.g. 1/1.1), the
+    offset is exactly p/up, p = (n*down) % up, and the table has `up` rows.
+    Any other ratio (pitch shift's 2^(-s/12), speed 0.9996) keeps the float
+    positions n/ratio, so nothing drifts along the output, and interpolates
+    linearly between rows of a grid of 4096*cutoff offsets per sample.
     """
+    if not isinstance(ratio, Fraction):
+        ratio = float(ratio)
     n_out = math.floor(len(x) * ratio + Fraction(1, 2))
     if n_out <= 0 or len(x) == 0:
         return np.zeros(0)
-    if not isinstance(ratio, Fraction):
-        ratio = Fraction(float(ratio)).limit_denominator(_MAX_DENOMINATOR)
-    if ratio == 0:
-        raise ValueError(f"resampling ratio below 1/{2 * _MAX_DENOMINATOR}")
-    up, down = ratio.numerator, ratio.denominator
-    cutoff = min(1.0, up / down)
+    cutoff = min(1.0, float(ratio))
     half = _SINC_HALF_WIDTH / cutoff
-    n_taps = 2 * int(np.ceil(half)) + 1
+    k = math.ceil(half)
+    n_taps = 2 * k
+    q = Fraction(ratio).limit_denominator(_MAX_DENOMINATOR)
+    if (q == ratio or float(q) == ratio) and q.numerator <= _MAX_DENOMINATOR:
+        up, down, steps = q.numerator, q.denominator, None
+        table = _kernel_table(np.arange(up) / up, half, cutoff, k)
+    else:
+        steps = math.ceil(_GRID_STEPS * cutoff)
+        table = _kernel_table(np.arange(steps + 1) / steps, half, cutoff, k)
+        slope = np.diff(table, axis=0)
 
-    # Row p holds the weights of taps base[p] .. base[p]+n_taps-1 around
-    # input sample 0 for an output at fractional position p/up.
-    frac = np.arange(up, dtype=np.float64) / up
-    base = np.floor(frac - half).astype(np.int64) + 1
-    u = frac[:, None] - (base[:, None] + np.arange(n_taps)[None, :])
-    v2 = (u / half) ** 2
-    win = np.where(v2 < 1.0, np.i0(_KAISER_BETA * np.sqrt(np.maximum(1.0 - v2, 0.0))), 0.0)
-    table = cutoff * np.sinc(cutoff * u) * win / np.i0(_KAISER_BETA)
-
-    # Zero padding stands in for the samples outside x; every window
-    # reaches at most n_taps past either end.
+    # Zero padding stands in for the samples outside x; a window starts at
+    # most k - 1 before x and ends at most k after it.
     windows = sliding_window_view(np.pad(x, n_taps), n_taps)
     out = np.empty(n_out)
     chunk = 8192
     for a in range(0, n_out, chunk):
-        pos = np.arange(a, min(n_out, a + chunk), dtype=np.int64) * down
-        phase = pos % up
-        first = pos // up + base[phase] + n_taps
-        out[a : a + len(pos)] = np.einsum("ij,ij->i", table[phase], windows[first])
+        n = np.arange(a, min(n_out, a + chunk), dtype=np.int64)
+        if steps is None:
+            start, phase = np.divmod(n * down, up)
+            out[a : a + len(n)] = np.einsum("ij,ij->i", table[phase], windows[start + (k + 1)])
+        else:
+            t = n / float(ratio)
+            start = np.floor(t).astype(np.int64)
+            g = (t - start) * steps
+            row = np.minimum(g.astype(np.int64), steps - 1)
+            w = windows[start + (k + 1)]
+            lo = np.einsum("ij,ij->i", table[row], w)
+            out[a : a + len(n)] = lo + (g - row) * np.einsum("ij,ij->i", slope[row], w)
     return out
+
+
+def _kernel_table(frac: np.ndarray, half: float, cutoff: float, k: int) -> np.ndarray:
+    """Weights of taps 1-k .. k around input 0, one row per offset in frac.
+
+    Offsets lie in [0, 1]; taps at distance half or more weigh zero.
+    """
+    u = frac[:, None] - np.arange(1 - k, k + 1)[None, :]
+    v2 = (u / half) ** 2
+    win = np.where(v2 < 1.0, np.i0(_KAISER_BETA * np.sqrt(np.maximum(1.0 - v2, 0.0))), 0.0)
+    return cutoff * np.sinc(cutoff * u) * win / np.i0(_KAISER_BETA)

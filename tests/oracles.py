@@ -166,24 +166,27 @@ def finite_difference_grad(fn, x, h=1e-5):
     return grad
 
 
-def resample_oracle(x, ratio, half_width=16, beta=8.6):
+def resample_oracle(x, ratio, outputs=None, half_width=16, beta=8.6):
     """Kaiser-windowed sinc evaluated at n / ratio, one output at a time.
 
     Output n sums x[j] * cutoff * sinc(cutoff * (t - j)) * window over every
     in-range j with |t - j| < half_width / cutoff, t = n / ratio and
     cutoff = min(1, ratio); the Kaiser window is I0(beta * sqrt(1 - v^2)) /
-    I0(beta) at v = (t - j) / (half_width / cutoff).
+    I0(beta) at v = (t - j) / (half_width / cutoff). ``outputs`` picks the
+    indices n to evaluate (default: all round(len(x) * ratio) of them).
     """
     x = np.asarray(x, dtype=np.float64)
     n_out = int(np.floor(len(x) * ratio + 0.5))
+    if outputs is None:
+        outputs = range(max(n_out, 0))
     cutoff = min(1.0, ratio)
     half = half_width / cutoff
-    out = np.zeros(max(n_out, 0))
-    for n in range(n_out):
+    out = np.zeros(len(outputs))
+    for i, n in enumerate(outputs):
         t = n / ratio
         j = np.arange(int(np.floor(t - half)), int(np.ceil(t + half)) + 1)
         j = j[(j >= 0) & (j < len(x)) & (np.abs(t - j) < half)]
         u = t - j
         window = np.i0(beta * np.sqrt(1.0 - (u / half) ** 2)) / np.i0(beta)
-        out[n] = np.sum(x[j] * cutoff * np.sinc(cutoff * u) * window)
+        out[i] = np.sum(x[j] * cutoff * np.sinc(cutoff * u) * window)
     return out

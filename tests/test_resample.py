@@ -35,6 +35,35 @@ def test_sinc_interp_matches_oracle_at_every_sample(ratio):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("ratio", [2 ** (-2 / 12), 2 ** (5 / 12), 1 / 0.9996, 1 / 1.0731, 0.3], ids=repr)
+def test_sinc_interp_off_the_fraction_table_stays_near_the_oracle(ratio):
+    # Ratios that are not a small fraction read interpolated kernel rows.
+    rng = np.random.default_rng(int(ratio * 1e6))
+    for n in (1, rng.integers(2, 65), rng.integers(65, 3001)):
+        x = rng.standard_normal(int(n))
+        np.testing.assert_allclose(sinc_interp(x, ratio), resample_oracle(x, ratio), rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "seconds, ratio",
+    [(60.0, 1 / 0.9996), (60.0, 1 / 1.0004), (135.0, 2 ** (-2 / 12)), (135.0, 2 ** (-0.007 / 12))],
+    ids=repr,
+)
+def test_float_ratio_does_not_drift_along_a_long_input(seconds, ratio):
+    x = np.random.default_rng(7).standard_normal(int(seconds * 16000))
+    got = sinc_interp(x, ratio)
+    n_out = int(np.floor(len(x) * ratio + 0.5))
+    assert len(got) == n_out
+    at = np.r_[n_out // 2 : n_out // 2 + 32, n_out - 32 : n_out]
+    np.testing.assert_allclose(got[at], resample_oracle(x, ratio, at), rtol=0, atol=1e-6)
+
+
+def test_speed_and_pitch_keep_their_length_on_long_clips():
+    assert len(speed_change(white(60.0, amp_rms=0.1, seed=3), 0.9996)) == round(960000 / 0.9996)
+    buf = white(135.0, amp_rms=0.1, seed=4)
+    assert len(pitch_shift(buf, 2.0)) == len(buf)
+
+
 def test_float_ratio_keeps_the_rounded_length_contract():
     x = np.ones(1001)
     for ratio in (0.891, 1 / 1.07, 2 ** (-2 / 12), 1.5):
