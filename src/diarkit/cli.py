@@ -25,9 +25,9 @@ from .augment import AugmentSpec, add_noise, augment_file, rescale_turns
 from .cluster import agglomerative_cluster, labels_to_turns
 from .corpus import DEFAULT_LAYOUT, DEFAULT_SPLIT, CorpusManifest, generate_dataset
 from .embed import Embedding, MfccEmbedder, load_external_embeddings, write_embeddings
-from .errors import DiarkitError, IoError
+from .errors import DiarkitError, EmptyReference, IoError
 from .losses import TrainConfig, train_toy
-from .metrics import DerReport, MetricReport, compute_der, compute_jer, turns_purity
+from .metrics import DerReport, MetricReport, compute_der, compute_jer, hypothesis_speech_s, turns_purity
 from .preprocess import DenoiseParams, estimate_snr_db, spectral_gate_denoise
 from .vad import Segment, energy_vad, uniform_segment
 
@@ -328,12 +328,22 @@ def cmd_diarize(args) -> int:
     return EXIT_OK
 
 
-def _collect_rttms(path: Path) -> dict[str, list[Turn]]:
+def _collect_rttms(path: Path, skip: Path | None = None) -> dict[str, list[Turn]]:
     """Pairing table: directory inputs key by RTTM stem, single files by
-    the file_id column (one RTTM may describe several recordings)."""
+    the file_id column (one RTTM may describe several recordings).
+
+    A directory walk leaves out every file under ``skip`` and raises
+    PairingError when two RTTMs share a stem.
+    """
     table: dict[str, list[Turn]] = {}
     if path.is_dir():
+        found: dict[str, Path] = {}
         for f in sorted(path.glob("**/*.rttm")):
+            if skip is not None and f.resolve().is_relative_to(skip):
+                continue
+            if f.stem in found:
+                raise PairingError(f"two RTTMs with stem {f.stem!r}: {found[f.stem]} and {f}")
+            found[f.stem] = f
             table[f.stem] = parse_rttm(f.read_text(encoding="utf-8"))
     else:
         turns = parse_rttm(path.read_text(encoding="utf-8"))
@@ -345,27 +355,43 @@ def _collect_rttms(path: Path) -> dict[str, list[Turn]]:
 
 
 def cmd_evaluate(args) -> int:
-    ref_table = _collect_rttms(Path(args.ref))
-    hyp_table = _collect_rttms(Path(args.hyp))
+    ref_path, hyp_path = Path(args.ref), Path(args.hyp)
+    # Hypotheses written inside the reference tree (diarize's default
+    # out-dir) must not be read as references.
+    skip = hyp_path.resolve()
+    ref_table = _collect_rttms(ref_path, skip=skip if skip != ref_path.resolve() else None)
+    hyp_table = _collect_rttms(hyp_path)
     unmatched = sorted(set(ref_table) - set(hyp_table))
     if unmatched:
         raise PairingError(f"no hypothesis for file_id(s): {', '.join(unmatched)}")
+    unscored = sorted(set(hyp_table) - set(ref_table))
+    if unscored:
+        print(f"not scored, no reference: {', '.join(unscored)}", file=sys.stderr)
 
     missed = fa = conf = total = 0.0
     jers, purities, purity_weights = [], [], []
     mapping = {}
     for fid in sorted(ref_table):
         ref, hyp = ref_table[fid], hyp_table[fid]
-        der = compute_der(ref, hyp, collar_s=args.collar)
-        missed += der.missed_s
-        fa += der.false_alarm_s
-        conf += der.confusion_s
-        total += der.total_ref_speech_s
-        mapping.update({f"{fid}/{k}": v for k, v in der.mapping.items()})
-        jers.append(compute_jer(ref, hyp) * der.total_ref_speech_s)
+        try:
+            der = compute_der(ref, hyp, collar_s=args.collar)
+        except EmptyReference:
+            # Pooled as md-eval and dscore do: with no scored reference
+            # speech, all hypothesis speech is false alarm, and the file
+            # adds nothing to the denominator or to the JER weights.
+            fa += hypothesis_speech_s(ref, hyp, collar_s=args.collar)
+        else:
+            missed += der.missed_s
+            fa += der.false_alarm_s
+            conf += der.confusion_s
+            total += der.total_ref_speech_s
+            mapping.update({f"{fid}/{k}": v for k, v in der.mapping.items()})
+            jers.append(compute_jer(ref, hyp) * der.total_ref_speech_s)
         hyp_time = sum(t.duration_s for t in hyp)
         purities.append(turns_purity(ref, hyp) * hyp_time)
         purity_weights.append(hyp_time)
+    if total <= 0.0:
+        raise EmptyReference("reference contains no scored speech in any file")
 
     der_value = (missed + fa + conf) / total
     report = MetricReport(

@@ -6,11 +6,19 @@ to hypothesis speaker mapping is the overlap-maximizing assignment, and
 each interval contributes duration * (max(Nref, Nhyp) - Ncorrect) split
 into missed, false-alarm, and confusion time. Overlapping speech is
 counted per speaker, so DER can exceed 1.
+
+The partition is one sweep over the sorted boundaries that keeps a
+count of active turns per speaker, O(b log b) in the number of
+boundaries; the no-score collar test bisects the sorted reference
+edges for the nearest one on each side. DER, JER, and purity each
+build their own list: on an hour of turns one build takes a few tens
+of milliseconds.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,13 +160,21 @@ def _partition(
 ) -> list[tuple[float, frozenset, frozenset]]:
     """Elementary intervals with constant speaker sets.
 
-    Intervals whose midpoint falls within collar_s of any reference
-    turn boundary are excluded entirely (numerator and denominator).
+    One sweep over the sorted bounds: each bound applies its turns'
+    onsets and offsets to per-speaker counts of active turns, one
+    count table for the reference and one for the hypothesis. Intervals
+    whose midpoint falls within collar_s of any reference turn boundary
+    are excluded entirely (numerator and denominator); only the nearest
+    reference edge on each side of the midpoint, found by bisection,
+    needs checking.
     """
-    edges: set[float] = set()
-    for t in ref + hyp:
-        edges.add(t.onset_s)
-        edges.add(t.offset_s)
+    steps: dict[float, list[tuple[dict, str, int]]] = {}
+    counts: tuple[dict, dict] = ({}, {})
+    for active, turns in zip(counts, (ref, hyp)):
+        for t in turns:
+            steps.setdefault(t.onset_s, []).append((active, t.speaker_id, 1))
+            steps.setdefault(t.offset_s, []).append((active, t.speaker_id, -1))
+    edges = set(steps)
     ref_edges = sorted({b for t in ref for b in (t.onset_s, t.offset_s)})
     if collar_s > 0.0:
         for b in ref_edges:
@@ -167,18 +183,17 @@ def _partition(
     bounds = sorted(edges)
 
     out = []
+    r_act = h_act = frozenset()
     for lo, hi in zip(bounds, bounds[1:]):
-        if hi <= lo:
-            continue
-        mid = (lo + hi) / 2.0
-        if collar_s > 0.0 and any(abs(mid - b) < collar_s for b in ref_edges):
-            continue
-        r_act = frozenset(
-            t.speaker_id for t in ref if t.onset_s <= lo and hi <= t.offset_s
-        )
-        h_act = frozenset(
-            t.speaker_id for t in hyp if t.onset_s <= lo and hi <= t.offset_s
-        )
+        if lo in steps:
+            for active, spk, step in steps[lo]:
+                active[spk] = active.get(spk, 0) + step
+            r_act, h_act = (frozenset(s for s, n in c.items() if n > 0) for c in counts)
+        if collar_s > 0.0:
+            mid = (lo + hi) / 2.0
+            j = bisect_left(ref_edges, mid)
+            if any(abs(mid - b) < collar_s for b in ref_edges[max(0, j - 1) : j + 1]):
+                continue
         if r_act or h_act:
             out.append((hi - lo, r_act, h_act))
     return out
@@ -239,6 +254,20 @@ def compute_der(
         der=der,
         mapping=mapping,
     )
+
+
+def hypothesis_speech_s(
+    ref: list[Turn], hyp: list[Turn], collar_s: float = 0.0
+) -> float:
+    """Hypothesis speech outside the collars, counted per speaker.
+
+    For a file with no scored reference speech this is the false alarm
+    that pooled scoring charges it, as md-eval and dscore do.
+    """
+    if collar_s < 0:
+        raise ValueError("collar_s must be >= 0")
+    _single_file_id(ref, hyp)
+    return sum(d * len(h) for d, _, h in _partition(ref, hyp, collar_s))
 
 
 def compute_jer(ref: list[Turn], hyp: list[Turn]) -> float:

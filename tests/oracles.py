@@ -190,3 +190,40 @@ def resample_oracle(x, ratio, outputs=None, half_width=16, beta=8.6):
         window = np.i0(beta * np.sqrt(1.0 - (u / half) ** 2)) / np.i0(beta)
         out[i] = np.sum(x[j] * cutoff * np.sinc(cutoff * u) * window)
     return out
+
+
+def partition_oracle(ref, hyp, collar_s=0.0):
+    """Elementary intervals with constant speaker sets, by testing every
+    turn against every interval and every reference edge against every
+    midpoint.
+
+    Intervals whose midpoint falls within collar_s of any reference
+    turn boundary are excluded entirely (numerator and denominator).
+    """
+    edges: set[float] = set()
+    for t in ref + hyp:
+        edges.add(t.onset_s)
+        edges.add(t.offset_s)
+    ref_edges = sorted({b for t in ref for b in (t.onset_s, t.offset_s)})
+    if collar_s > 0.0:
+        for b in ref_edges:
+            edges.add(b - collar_s)
+            edges.add(b + collar_s)
+    bounds = sorted(edges)
+
+    out = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        if hi <= lo:
+            continue
+        mid = (lo + hi) / 2.0
+        if collar_s > 0.0 and any(abs(mid - b) < collar_s for b in ref_edges):
+            continue
+        r_act = frozenset(
+            t.speaker_id for t in ref if t.onset_s <= lo and hi <= t.offset_s
+        )
+        h_act = frozenset(
+            t.speaker_id for t in hyp if t.onset_s <= lo and hi <= t.offset_s
+        )
+        if r_act or h_act:
+            out.append((hi - lo, r_act, h_act))
+    return out

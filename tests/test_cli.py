@@ -2,6 +2,7 @@
 
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +141,88 @@ def test_evaluate_json_flag_writes_report_file(tmp_path, capsys):
     report = json.loads(out_json.read_text())
     assert report["der"]["total_ref_speech_s"] == pytest.approx(10.0)
     assert "DER: 0.0%" in capsys.readouterr().out
+
+
+def _report(out):
+    return json.loads(out[: out.rindex("}") + 1])
+
+
+def test_evaluate_pools_a_noise_only_file_as_false_alarm(tmp_path, capsys):
+    ref_dir, hyp_dir = tmp_path / "ref", tmp_path / "hyp"
+    ref_dir.mkdir()
+    hyp_dir.mkdir()
+    (ref_dir / "noise.rttm").write_text("")
+    (ref_dir / "talk.rttm").write_text(emit_rttm([Turn("talk", "A", 0.0, 10.0)]))
+    # 2 s of X and 2 s of Y over silence: 4 s of false alarm.
+    (hyp_dir / "noise.rttm").write_text(
+        emit_rttm([Turn("noise", "X", 0.0, 2.0), Turn("noise", "Y", 1.0, 2.0)])
+    )
+    # 8 of A's 10 s found: 2 s missed.
+    (hyp_dir / "talk.rttm").write_text(emit_rttm([Turn("talk", "X", 0.0, 8.0)]))
+    assert main(["evaluate", "--ref", str(ref_dir), "--hyp", str(hyp_dir)]) == EXIT_OK
+    out = capsys.readouterr().out
+    report = _report(out)
+    assert report["der"]["missed_s"] == pytest.approx(2.0, abs=1e-9)
+    assert report["der"]["false_alarm_s"] == pytest.approx(4.0, abs=1e-9)
+    assert report["der"]["confusion_s"] == 0.0
+    assert report["der"]["total_ref_speech_s"] == pytest.approx(10.0, abs=1e-9)
+    assert report["der"]["der"] == pytest.approx(0.6, abs=1e-9)
+    assert report["jer"] == pytest.approx(0.2, abs=1e-9)  # talk only: 1 - 8/10
+    assert report["cluster_purity"] == pytest.approx(8.0 / 12.0, abs=1e-9)
+    assert "DER: 60.0%" in out
+
+    # With no reference speech in any file there is nothing to divide by.
+    (ref_dir / "talk.rttm").unlink()
+    (hyp_dir / "talk.rttm").unlink()
+    assert main(["evaluate", "--ref", str(ref_dir), "--hyp", str(hyp_dir)]) == EXIT_VALIDATION
+    assert "no scored speech" in capsys.readouterr().err
+
+
+def test_evaluate_names_hypotheses_without_a_reference(tmp_path, capsys):
+    ref_dir, hyp_dir = tmp_path / "ref", tmp_path / "hyp"
+    ref_dir.mkdir()
+    hyp_dir.mkdir()
+    a = emit_rttm([Turn("a", "s0", 0.0, 1.0)])
+    (ref_dir / "a.rttm").write_text(a)
+    (hyp_dir / "a.rttm").write_text(a)
+    (hyp_dir / "stray.rttm").write_text(emit_rttm([Turn("stray", "s0", 0.0, 1.0)]))
+    assert main(["evaluate", "--ref", str(ref_dir), "--hyp", str(hyp_dir)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert "stray" in captured.err
+    assert "DER: 0.0%" in captured.out
+
+
+def test_evaluate_on_the_default_layout_skips_the_hypothesis_tree(tmp_path, capsys):
+    root = tmp_path / "corpus"
+    assert main(["corpus", str(root), "--layout", "0:1,2:2", "--seed", "5"]) == EXIT_OK
+    assert main(["diarize", str(root / "manifest.json"), "--num-speakers", "2"]) == EXIT_OK
+    assert sorted(p.stem for p in (root / "hyp").glob("*.rttm")) == ["0_000", "2_000", "2_001"]
+    capsys.readouterr()
+    assert main(["evaluate", "--ref", str(root), "--hyp", str(root / "hyp")]) == EXIT_OK
+    inside = _report(capsys.readouterr().out)
+
+    outside = tmp_path / "hyp"
+    shutil.move(root / "hyp", outside)
+    assert main(["evaluate", "--ref", str(root), "--hyp", str(outside)]) == EXIT_OK
+    moved = _report(capsys.readouterr().out)
+    assert inside == moved
+    assert inside["der"]["der"] > 0.0
+    assert inside["der"]["false_alarm_s"] > 0.0
+
+
+def test_evaluate_walk_with_a_duplicate_stem_exits_3(tmp_path, capsys):
+    ref_dir, hyp_dir = tmp_path / "ref", tmp_path / "hyp"
+    (ref_dir / "one").mkdir(parents=True)
+    (ref_dir / "two").mkdir()
+    hyp_dir.mkdir()
+    a = emit_rttm([Turn("a", "s0", 0.0, 1.0)])
+    (ref_dir / "one" / "a.rttm").write_text(a)
+    (ref_dir / "two" / "a.rttm").write_text(a)
+    (hyp_dir / "a.rttm").write_text(a)
+    assert main(["evaluate", "--ref", str(ref_dir), "--hyp", str(hyp_dir)]) == EXIT_PAIRING
+    err = capsys.readouterr().err
+    assert str(ref_dir / "one" / "a.rttm") in err
+    assert str(ref_dir / "two" / "a.rttm") in err
 
 
 # --- corpus ---

@@ -1,5 +1,7 @@
 """Metric correctness against brute-force oracles and hand-derived values."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -15,18 +17,20 @@ from diarkit.errors import (
 )
 from diarkit.metrics import (
     DerReport,
+    _partition,
     MetricReport,
     cluster_purity,
     compute_der,
     compute_eer,
     compute_jer,
     hungarian_assign,
+    hypothesis_speech_s,
     relative_improvement,
     turns_purity,
 )
 
 from conftest import random_der_case
-from oracles import assignment_oracle, der_oracle, eer_dense_oracle
+from oracles import assignment_oracle, der_oracle, eer_dense_oracle, partition_oracle
 
 
 def _t(spk, on, dur, f="f"):
@@ -121,6 +125,15 @@ def test_der_matches_brute_force_on_random_cases():
         assert got == pytest.approx(want, abs=1e-9), f"case {case}"
 
 
+def test_der_with_collar_matches_brute_force_on_random_cases():
+    rng = np.random.default_rng(13)
+    for case in range(50):
+        ref, hyp = random_der_case(rng)
+        got = compute_der(ref, hyp, collar_s=0.25).der
+        want = der_oracle(ref, hyp, collar_s=0.25)
+        assert got == pytest.approx(want, abs=1e-9), f"case {case}"
+
+
 def test_hyp_relabeling_never_changes_the_report():
     rng = np.random.default_rng(12)
     ref, hyp = random_der_case(rng)
@@ -165,6 +178,93 @@ def test_der_errors():
         compute_der([], [_t("A", 0.0, 1.0)])
     with pytest.raises(ValueError):
         compute_der([_t("A", 0.0, 1.0)], [], collar_s=-0.1)
+
+
+def test_hypothesis_speech_counts_each_speaker_outside_the_collar():
+    hyp = [_t("X", 0.0, 2.0), _t("Y", 1.0, 2.0), _t("X", 1.5, 0.5)]
+    assert hypothesis_speech_s([], hyp) == pytest.approx(4.0)
+    assert hypothesis_speech_s([_t("A", 10.0, 0.2)], hyp, collar_s=0.5) == pytest.approx(4.0)
+    # Collars cover 1.5-2.7 s: X keeps 0-1.5 s, Y keeps 1-1.5 s and 2.7-3 s.
+    assert hypothesis_speech_s([_t("A", 2.0, 0.2)], hyp, collar_s=0.5) == pytest.approx(2.3)
+    assert hypothesis_speech_s([], []) == 0.0
+
+
+# --- _partition ---
+
+
+def _crowded_case(rng):
+    """A random case plus same-speaker turns that overlap, touch, or last
+    only a millisecond, on the 1 ms grid RTTM files use."""
+    ref, hyp = random_der_case(rng)
+    for turns in (ref, hyp):
+        for t in list(turns[:4]):
+            kind = int(rng.integers(0, 3))
+            if kind == 0:  # overlaps the same speaker's turn
+                onset, dur = t.onset_s + 0.2, t.duration_s
+            elif kind == 1:  # starts where it ends
+                onset, dur = t.offset_s, float(rng.uniform(0.001, 1.0))
+            else:  # a millisecond inside it
+                onset, dur = t.onset_s + 0.1, 0.001
+            turns.append(Turn(t.file_id, t.speaker_id, round(onset, 3), round(dur, 3)))
+    return ref, hyp
+
+
+def test_partition_equals_the_oracle_exactly():
+    rng = np.random.default_rng(14)
+    for case in range(150):
+        ref, hyp = _crowded_case(rng)
+        for collar in (0.0, 0.1, 0.25, 0.5):
+            assert _partition(ref, hyp, collar) == partition_oracle(ref, hyp, collar), (
+                f"case {case}, collar {collar}"
+            )
+
+
+def test_partition_of_one_side_only():
+    turns = [_t("A", 0.0, 1.0), _t("A", 1.0, 0.001), _t("B", 0.5, 2.0)]
+    for collar in (0.0, 0.25):
+        assert _partition(turns, [], collar) == partition_oracle(turns, [], collar)
+        assert _partition([], turns, collar) == partition_oracle([], turns, collar)
+    assert _partition([], []) == []
+
+
+def _hour_case(rng, n_ref=1000, n_hyp=1200, n_spk=4):
+    """An hour of alternating turns and a perturbed hypothesis, built as
+    random_der_case builds one: renamed speakers, jittered boundaries,
+    missed and confused turns, and false alarms up to n_hyp turns."""
+    ref, t = [], 0.5
+    for _ in range(n_ref):
+        dur = float(rng.uniform(0.5, 4.0))
+        ref.append(Turn("hour", f"spk{int(rng.integers(0, n_spk))}", round(t, 3), round(dur, 3)))
+        t += dur + float(rng.uniform(0.3, 3.0))
+    perm = rng.permutation(n_spk)
+    hyp = []
+    for r in ref:
+        if rng.random() < 0.15:
+            continue
+        onset = max(0.0, r.onset_s + float(rng.uniform(-0.3, 0.3)))
+        dur = max(0.1, r.duration_s + float(rng.uniform(-0.4, 0.4)))
+        s = perm[int(r.speaker_id.removeprefix("spk"))]
+        if rng.random() < 0.1:
+            s = int(rng.integers(0, n_spk))
+        hyp.append(Turn("hour", f"hyp{s}", round(onset, 3), round(dur, 3)))
+    while len(hyp) < n_hyp:
+        hyp.append(
+            Turn("hour", f"hyp{int(rng.integers(0, n_spk))}", round(float(rng.uniform(0.0, t)), 3),
+                 round(float(rng.uniform(0.3, 2.0)), 3))
+        )
+    return ref, hyp
+
+
+def test_scoring_an_hour_of_turns_within_budget():
+    ref, hyp = _hour_case(np.random.default_rng(15))
+    assert ref[-1].offset_s > 3000.0
+    start = time.perf_counter()
+    der = compute_der(ref, hyp, collar_s=0.25)
+    jer = compute_jer(ref, hyp)
+    purity = turns_purity(ref, hyp)
+    elapsed = time.perf_counter() - start
+    assert 0.0 < der.der < 1.0 and 0.0 < jer < 1.0 and 0.0 < purity < 1.0
+    assert elapsed < 0.5, f"{elapsed:.2f} s"
 
 
 # --- compute_jer ---
