@@ -108,10 +108,11 @@ def read_wav(path: str | os.PathLike) -> AudioBuffer:
     fmt = None
     payload = None
     pos = 12
+    view = memoryview(data)  # chunk bodies are slices of it, not copies
     while pos + 8 <= len(data):
         chunk_id = data[pos : pos + 4]
         (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
-        body = data[pos + 8 : pos + 8 + chunk_size]
+        body = view[pos + 8 : pos + 8 + chunk_size]
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise CorruptHeader(f"{path}: fmt chunk too small")
@@ -128,8 +129,8 @@ def read_wav(path: str | os.PathLike) -> AudioBuffer:
     if channels != 1:
         raise UnsupportedFormat(f"{path}: {channels} channels, expected mono")
     if (audio_format, bits) == (_FMT_PCM, 16):
-        raw = np.frombuffer(payload, dtype="<i2")
-        samples = raw.astype(np.float32) / 32768.0
+        samples = np.frombuffer(payload, dtype="<i2").astype(np.float32)
+        samples /= 32768.0
     elif (audio_format, bits) == (_FMT_IEEE_FLOAT, 32):
         samples = np.frombuffer(payload, dtype="<f4").astype(np.float32)
     else:

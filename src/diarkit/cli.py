@@ -267,12 +267,17 @@ def _diarize_one(wav_path: Path, cfg: PipelineConfig, args) -> tuple[str, str, l
     external = None
     if getattr(args, "embeddings", None):
         external = load_external_embeddings(args.embeddings)
+    if cfg.denoise:
+        # Denoised here, not in diarize_buffer, so the exported vectors
+        # describe the buffer that was segmented and clustered.
+        buf = spectral_gate_denoise(buf, cfg.denoise_params())
+        cfg = replace(cfg, denoise=False)
+    embedder = cfg.embedder()  # its cache frames the buffer once
     turns, segments, _ = diarize_buffer(
-        buf, cfg, file_id=file_id, external_embeddings=external
+        buf, cfg, file_id=file_id, external_embeddings=external, embedder=embedder
     )
     embs = []
     if getattr(args, "export_embeddings", None):
-        embedder = cfg.embedder()
         embs = [embedder.embed(buf, s) for s in segments]
     return file_id, emit_rttm(turns), embs
 
@@ -459,8 +464,11 @@ def cmd_snr(args) -> int:
 
 
 def _training_arrays(manifest: CorpusManifest, root: Path, cfg: PipelineConfig, max_files: int):
-    """Frame features, labels, and per-turn sequences from train files."""
-    from .embed import mfcc_features
+    """Frame features, labels, and per-turn sequences from train files.
+
+    Each file is framed once; every turn takes its rows from that table.
+    """
+    from .embed import _buffer_features, _segment_rows
 
     speakers = sorted(
         {s for e in manifest.entries if e.split == "train" for s in e.speaker_ids}
@@ -477,6 +485,9 @@ def _training_arrays(manifest: CorpusManifest, root: Path, cfg: PipelineConfig, 
         used += 1
         buf = read_wav(root / entry.path)
         turns = parse_rttm((root / entry.rttm_path).read_text(encoding="utf-8"))
+        starts, table = _buffer_features(
+            buf, cfg.n_mels, cfg.n_coeffs, cfg.mfcc_frame_ms, cfg.mfcc_hop_ms
+        )
         for turn in turns:
             seg = Segment(
                 file_id=entry.path,
@@ -484,14 +495,7 @@ def _training_arrays(manifest: CorpusManifest, root: Path, cfg: PipelineConfig, 
                 offset_s=min(turn.offset_s, len(buf) / buf.sample_rate_hz),
                 index=len(seqs),
             )
-            rows = mfcc_features(
-                buf,
-                seg,
-                n_mels=cfg.n_mels,
-                n_coeffs=cfg.n_coeffs,
-                frame_ms=cfg.mfcc_frame_ms,
-                hop_ms=cfg.mfcc_hop_ms,
-            )
+            rows = table[_segment_rows(buf, seg, starts, cfg.mfcc_frame_ms)]
             label = class_of[turn.speaker_id]
             feats.append(rows)
             labels.extend([label] * len(rows))

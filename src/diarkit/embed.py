@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct
 
 from .audio_io import AudioBuffer
@@ -28,7 +29,7 @@ from .errors import (
     TooShort,
     TruncatedFile,
 )
-from .vad import Segment
+from .vad import Segment, _frame_blocks
 
 _PRE_EMPHASIS = 0.97
 _MIN_NFFT = 512
@@ -92,6 +93,11 @@ def _buffer_features(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Cepstra + deltas for every full frame of the buffer.
 
+    Frames are read in blocks: each block is pre-emphasised from the
+    float32 samples plus one sample of history, then windowed,
+    transformed and reduced to log-mel rows, so no temporary grows with
+    the buffer beyond the log-mel matrix itself.
+
     The cepstral mean is taken over the whole buffer, so features of a
     segment depend on the recording it came from but not on where the
     segment boundaries fall.
@@ -103,15 +109,20 @@ def _buffer_features(
     if len(starts) == 0:
         return starts, np.zeros((0, 3 * n_coeffs))
 
-    x = buf.samples.astype(np.float64)
-    x = np.concatenate([x[:1], x[1:] - _PRE_EMPHASIS * x[:-1]])
-    idx = starts[:, None] + np.arange(frame)[None, :]
     window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(frame) / (frame - 1))
     # Zero-pad to a power of two; a frame longer than _MIN_NFFT is never cropped.
     nfft = max(_MIN_NFFT, 1 << (frame - 1).bit_length())
-    power = np.abs(np.fft.rfft(x[idx] * window, n=nfft, axis=1)) ** 2
-    fb = _mel_filterbank(n_mels, nfft, rate)
-    logmel = np.log(np.maximum(power @ fb.T, _LOG_FLOOR))
+    fb_t = _mel_filterbank(n_mels, nfft, rate).T
+    logmel = np.empty((len(starts), n_mels))
+    for lo, hi in _frame_blocks(len(starts)):
+        first, end = int(starts[lo]), int(starts[hi - 1]) + frame
+        x = buf.samples[max(first - 1, 0) : end].astype(np.float64)
+        emphasised = x[1:] - _PRE_EMPHASIS * x[:-1]
+        if first == 0:
+            emphasised = np.concatenate([x[:1], emphasised])
+        frames = sliding_window_view(emphasised, frame)[::hop]
+        power = np.abs(np.fft.rfft(frames * window, n=nfft, axis=1)) ** 2
+        logmel[lo:hi] = np.log(np.maximum(power @ fb_t, _LOG_FLOOR))
     cepstra = dct(logmel, type=2, norm="ortho", axis=1)[:, 1 : n_coeffs + 1]
     cepstra = cepstra - np.mean(cepstra, axis=0, keepdims=True)
     d1 = _deltas(cepstra)
@@ -120,8 +131,16 @@ def _buffer_features(
 
 
 def _segment_rows(
-    buf: AudioBuffer, segment: Segment, starts: np.ndarray, frame: int
+    buf: AudioBuffer, segment: Segment, starts: np.ndarray, frame_ms: float
 ) -> np.ndarray:
+    """Feature rows of the full frames inside ``segment``.
+
+    Raises TooShort when the buffer or the segment holds no full frame
+    and SegmentOutOfRange when the segment ends past the buffer.
+    """
+    if len(starts) == 0:
+        raise TooShort("buffer is shorter than one analysis frame")
+    frame = int(round(buf.sample_rate_hz * frame_ms / 1000.0))
     on = int(round(segment.onset_s * buf.sample_rate_hz))
     off = int(round(segment.offset_s * buf.sample_rate_hz))
     if off > len(buf):
@@ -161,11 +180,7 @@ def mfcc_features(
     if n_mels < n_coeffs + 1:
         raise ValueError("n_mels must exceed n_coeffs")
     starts, feats = _buffer_features(buf, n_mels, n_coeffs, frame_ms, hop_ms)
-    frame = int(round(buf.sample_rate_hz * frame_ms / 1000.0))
-    if len(starts) == 0:
-        raise TooShort("buffer is shorter than one analysis frame")
-    rows = _segment_rows(buf, segment, starts, frame)
-    return feats[rows]
+    return feats[_segment_rows(buf, segment, starts, frame_ms)]
 
 
 def pool_embedding(features: np.ndarray, base_dims: int = 26) -> Embedding:
@@ -231,10 +246,7 @@ class MfccEmbedder:
 
     def embed(self, buf: AudioBuffer, segment: Segment) -> Embedding:
         starts, feats = self._features_for(buf)
-        frame = int(round(buf.sample_rate_hz * self.frame_ms / 1000.0))
-        if len(starts) == 0:
-            raise TooShort("buffer is shorter than one analysis frame")
-        rows = _segment_rows(buf, segment, starts, frame)
+        rows = _segment_rows(buf, segment, starts, self.frame_ms)
         pooled = pool_embedding(feats[rows], base_dims=self.base_dims)
         return Embedding(vector=pooled.vector, segment_ref=segment)
 

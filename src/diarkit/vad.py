@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioBuffer
 from .errors import TooShort
@@ -21,6 +22,10 @@ MIN_TAIL_S = 0.5
 # buffer leaves zero frames at zero, so using a constant keeps the
 # classifier scale-invariant where log10 would produce -inf.
 _ZERO_DB = -1e12
+
+# Framing reads this many frames at a time, so its temporaries stay the
+# same size however long the buffer is.
+_BLOCK_FRAMES = 4096
 
 
 @dataclass(frozen=True)
@@ -63,23 +68,44 @@ class Segment:
         return self.offset_s - self.onset_s
 
 
+def _frame_blocks(n_frames: int):
+    """Row ranges [lo, hi) splitting ``n_frames`` frames into equal blocks.
+
+    No block holds more than ``_BLOCK_FRAMES`` frames, and none is a short
+    remainder: BLAS multiplies matrices of a few rows along a different
+    path, which would change the last bits of the MFCC log-mel rows.
+    """
+    count = -(-n_frames // _BLOCK_FRAMES)
+    for i in range(count):
+        yield i * n_frames // count, (i + 1) * n_frames // count
+
+
 def _frame_energies(x: np.ndarray, frame: int, hop: int) -> np.ndarray:
-    n_frames = 1 + (len(x) - frame) // hop
-    idx = np.arange(frame)[None, :] + (np.arange(n_frames) * hop)[:, None]
-    return np.sum(x[idx] ** 2, axis=1)
+    """Sum of squares of every full frame.
+
+    Frames are read in blocks of a strided view of ``x``, so the only
+    temporary is one block of squared frames, whatever the buffer length.
+    """
+    frames = sliding_window_view(x, frame)[::hop]
+    energy = np.empty(len(frames))
+    for lo, hi in _frame_blocks(len(frames)):
+        energy[lo:hi] = np.sum(frames[lo:hi] ** 2, axis=1)
+    return energy
 
 
 def _spectral_flatness(x: np.ndarray, frame: int, hop: int) -> float:
     """Geometric over arithmetic mean of the averaged power spectrum.
 
     Near 1 for broadband noise, near 0 for tonal content. Normalised by
-    the peak bin so the measure is independent of signal scale.
+    the peak bin so the measure is independent of signal scale. Frame
+    spectra are summed block by block.
     """
-    n_frames = 1 + (len(x) - frame) // hop
-    idx = np.arange(frame)[None, :] + (np.arange(n_frames) * hop)[:, None]
+    frames = sliding_window_view(x, frame)[::hop]
     w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame) / frame)
-    spec = np.abs(np.fft.rfft(x[idx] * w, axis=1)) ** 2
-    power = np.mean(spec, axis=0)[1:]  # DC excluded; it was removed anyway
+    total = np.zeros(frame // 2 + 1)
+    for lo, hi in _frame_blocks(len(frames)):
+        total += np.sum(np.abs(np.fft.rfft(frames[lo:hi] * w, axis=1)) ** 2, axis=0)
+    power = total[1:] / len(frames)  # DC excluded; it was removed anyway
     peak = float(np.max(power))
     if peak <= 0.0:
         return 1.0
@@ -120,7 +146,7 @@ def energy_vad(
         )
 
     x = buf.samples.astype(np.float64)
-    x = x - np.mean(x)
+    x -= np.mean(x)
     if not np.any(x):
         return []
 

@@ -227,3 +227,67 @@ def partition_oracle(ref, hyp, collar_s=0.0):
         if r_act or h_act:
             out.append((hi - lo, r_act, h_act))
     return out
+
+
+def frame_energies_oracle(x: np.ndarray, frame: int, hop: int) -> np.ndarray:
+    """Frame energies from a full (n_frames, frame) fancy-index matrix."""
+    n_frames = 1 + (len(x) - frame) // hop
+    idx = np.arange(frame)[None, :] + (np.arange(n_frames) * hop)[:, None]
+    return np.sum(x[idx] ** 2, axis=1)
+
+
+def buffer_features_oracle(buf, n_mels, n_coeffs, frame_ms, hop_ms):
+    """Cepstra + deltas from a whole-buffer pre-emphasis and a full
+    (n_frames, frame) fancy-index matrix.
+
+    Only the framing is independent: the filterbank, the deltas and the
+    constants come from ``diarkit.embed``, because they are not what
+    this oracle checks.
+    """
+    from scipy.fft import dct
+
+    from diarkit.embed import (
+        _LOG_FLOOR,
+        _MIN_NFFT,
+        _PRE_EMPHASIS,
+        _deltas,
+        _frame_starts,
+        _mel_filterbank,
+    )
+
+    rate = buf.sample_rate_hz
+    frame = int(round(rate * frame_ms / 1000.0))
+    hop = int(round(rate * hop_ms / 1000.0))
+    starts = _frame_starts(len(buf), frame, hop)
+    if len(starts) == 0:
+        return starts, np.zeros((0, 3 * n_coeffs))
+
+    x = buf.samples.astype(np.float64)
+    x = np.concatenate([x[:1], x[1:] - _PRE_EMPHASIS * x[:-1]])
+    idx = starts[:, None] + np.arange(frame)[None, :]
+    window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(frame) / (frame - 1))
+    # Zero-pad to a power of two; a frame longer than _MIN_NFFT is never cropped.
+    nfft = max(_MIN_NFFT, 1 << (frame - 1).bit_length())
+    power = np.abs(np.fft.rfft(x[idx] * window, n=nfft, axis=1)) ** 2
+    fb = _mel_filterbank(n_mels, nfft, rate)
+    logmel = np.log(np.maximum(power @ fb.T, _LOG_FLOOR))
+    cepstra = dct(logmel, type=2, norm="ortho", axis=1)[:, 1 : n_coeffs + 1]
+    cepstra = cepstra - np.mean(cepstra, axis=0, keepdims=True)
+    d1 = _deltas(cepstra)
+    d2 = _deltas(d1)
+    return starts, np.concatenate([cepstra, d1, d2], axis=1)
+
+
+def spectral_flatness_oracle(x: np.ndarray, frame: int, hop: int) -> float:
+    """Spectral flatness of the frame-averaged power spectrum, from a full
+    (n_frames, frame) fancy-index matrix."""
+    n_frames = 1 + (len(x) - frame) // hop
+    idx = np.arange(frame)[None, :] + (np.arange(n_frames) * hop)[:, None]
+    w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame) / frame)
+    spec = np.abs(np.fft.rfft(x[idx] * w, axis=1)) ** 2
+    power = np.mean(spec, axis=0)[1:]  # DC excluded; it was removed anyway
+    peak = float(np.max(power))
+    if peak <= 0.0:
+        return 1.0
+    p = power / peak + 1e-12
+    return float(np.exp(np.mean(np.log(p))) / np.mean(p))

@@ -1,13 +1,18 @@
 """Command-line surface: exit codes, file outputs, and printed reports."""
 
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import diarkit
+import diarkit.embed
 from diarkit.audio_io import Turn, emit_rttm, parse_rttm, read_wav, write_wav
 from diarkit.augment import add_noise
 from diarkit.cli import (
@@ -17,10 +22,12 @@ from diarkit.cli import (
     EXIT_USAGE,
     EXIT_VALIDATION,
     PipelineConfig,
+    _training_arrays,
     main,
 )
-from diarkit.corpus import generate_mixture
-from diarkit.embed import load_external_embeddings, write_embeddings
+from diarkit.corpus import CorpusManifest, generate_mixture
+from diarkit.embed import load_external_embeddings, mfcc_features, write_embeddings
+from diarkit.vad import Segment
 
 
 @pytest.fixture(scope="module")
@@ -515,7 +522,83 @@ def test_snr_command_reports_json_and_summary(mixture_wav, tmp_path, capsys):
     assert "SNR: " in out
 
 
+def test_diarize_exports_the_vectors_it_clustered_with_denoise(tmp_path, monkeypatch, capsys):
+    # diarize --denoise --export-embeddings writes the same file as
+    # export-embeddings with denoise enabled, and frames the file once.
+    mix, _ = generate_mixture(3, 40.0, seed=0)
+    wav = tmp_path / "noisy.wav"
+    write_wav(wav, add_noise(mix, 0.3, "white", seed=1))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"denoise": {"enabled": True}}))
+    standalone = tmp_path / "standalone.bin"
+    assert main(["export-embeddings", str(wav), str(standalone), "--config", str(cfg)]) == EXIT_OK
+
+    calls = []
+    framing = diarkit.embed._buffer_features
+    monkeypatch.setattr(
+        diarkit.embed, "_buffer_features", lambda *a: calls.append(1) or framing(*a)
+    )
+    exported = tmp_path / "exported.bin"
+    argv = ["diarize", str(wav), "--denoise", "--num-speakers", "3"]
+    assert main(argv + ["--export-embeddings", str(exported)]) == EXIT_OK
+    assert exported.read_bytes() == standalone.read_bytes()
+    assert len(calls) == 1
+
+
+# --- python -m diarkit ---
+
+
+def test_python_m_diarkit_runs_without_a_warning():
+    src = str(Path(diarkit.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "diarkit", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0
+    assert "export-embeddings" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
+
+
 # --- train-toy ---
+
+
+def test_training_arrays_frame_each_file_once(corpus_dir, monkeypatch):
+    # The per-file feature table, sliced per turn, equals per-turn
+    # mfcc_features exactly.
+    cfg = PipelineConfig()
+    manifest = CorpusManifest.load(corpus_dir / "manifest.json")
+    files = [e for e in manifest.entries if e.split == "train" and e.folder != 0]
+    assert files
+    speakers = sorted({s for e in manifest.entries if e.split == "train" for s in e.speaker_ids})
+    want_feats, want_labels, want_seqs = [], [], []
+    cursor = 0
+    for entry in files:
+        buf = read_wav(corpus_dir / entry.path)
+        for turn in parse_rttm((corpus_dir / entry.rttm_path).read_text()):
+            seg = Segment(entry.path, turn.onset_s, min(turn.offset_s, buf.duration_s), len(want_seqs))
+            rows = mfcc_features(buf, seg)
+            label = speakers.index(turn.speaker_id) + 1
+            want_feats.append(rows)
+            want_labels += [label] * len(rows)
+            want_seqs.append(((cursor, cursor + len(rows)), [label]))
+            cursor += len(rows)
+
+    calls = []
+    framing = diarkit.embed._buffer_features
+    monkeypatch.setattr(
+        diarkit.embed, "_buffer_features", lambda *a: calls.append(1) or framing(*a)
+    )
+    feats, labels, seqs = _training_arrays(manifest, corpus_dir, cfg, 10**6)
+    assert np.array_equal(feats, np.concatenate(want_feats))
+    assert np.array_equal(labels, np.asarray(want_labels))
+    assert seqs == want_seqs
+    assert len(calls) == len(files)
+
+
 
 
 def test_train_toy_loss_decreases_and_writes_history(corpus_dir, tmp_path, capsys):
