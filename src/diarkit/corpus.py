@@ -30,6 +30,7 @@ PAUSE_LO, PAUSE_HI = 0.3, 0.9
 LEAD_LO, LEAD_HI = 0.5, 1.0
 BED_NOISE_RMS = 1e-3  # -60 dBFS behind speech
 MAX_HARMONIC_HZ = 3600.0
+_SYNTH_BLOCK = 8192  # samples per block of the harmonic recurrence
 
 
 @dataclass(frozen=True)
@@ -112,13 +113,25 @@ def synth_utterance(profile: SpeakerProfile, duration_s: float, seed: int) -> Au
     amps = _formant_weight(k * profile.f0_hz, profile) * tilt_gain
     phases0 = rng.uniform(0.0, 2.0 * np.pi, size=n_harm)
 
-    base = np.exp(1j * phase)
+    # Harmonic i is imag(base**i * rot[i]) with base = exp(1j * phase),
+    # built by repeated multiplication. Blocks of samples keep the
+    # complex buffers in cache; each sample sees the same operations.
     rot = np.exp(1j * phases0)
-    cur = np.ones(n, dtype=np.complex128)
     voiced = np.zeros(n)
-    for i in range(n_harm):
-        cur = cur * base
-        voiced += amps[i] * np.imag(cur * rot[i])
+    m = min(n, _SYNTH_BLOCK)
+    complex_bufs, term = np.empty((3, m), dtype=np.complex128), np.empty(m)
+    for a in range(0, n, m):
+        b = min(m, n - a)
+        base, cur, rotated = complex_bufs[:, :b]
+        term_b, voiced_b = term[:b], voiced[a : a + b]
+        np.multiply(1j, phase[a : a + b], out=base)
+        np.exp(base, out=base)
+        cur[:] = 1.0
+        for i in range(n_harm):
+            np.multiply(cur, base, out=cur)
+            np.multiply(cur, rot[i], out=rotated)
+            np.multiply(amps[i], rotated.imag, out=term_b)
+            voiced_b += term_b
     voiced /= max(np.sqrt(np.mean(voiced**2)), 1e-12)
 
     # Syllabic amplitude modulation with inter-syllable dips.

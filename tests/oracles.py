@@ -291,3 +291,56 @@ def spectral_flatness_oracle(x: np.ndarray, frame: int, hop: int) -> float:
         return 1.0
     p = power / peak + 1e-12
     return float(np.exp(np.mean(np.log(p))) / np.mean(p))
+
+
+def synth_utterance_oracle(profile, duration_s: float, seed: int):
+    """One voice from a full-length harmonic recurrence: the loop
+    multiplies whole (n,) complex arrays, one pass per harmonic.
+
+    Only the recurrence is independent: the formant weights and the
+    constants come from ``diarkit.corpus``, because they are not what
+    this oracle checks.
+    """
+    import math
+
+    from diarkit.audio_io import AudioBuffer
+    from diarkit.corpus import MAX_HARMONIC_HZ, RATE, _formant_weight
+    from diarkit.errors import TooShort
+
+    if duration_s < 0.5:
+        raise TooShort(f"utterance needs >= 0.5 s, got {duration_s}")
+    rng = np.random.default_rng(np.random.SeedSequence([profile.seed, abs(int(seed))]))
+    n = int(round(duration_s * RATE))
+    t = np.arange(n) / RATE
+
+    # Slow +-3% wander of the fundamental.
+    n_ctrl = max(int(math.ceil(duration_s * 25.0)) + 2, 4)
+    ctrl = np.clip(rng.normal(scale=0.5, size=n_ctrl), -1.0, 1.0)
+    ctrl_t = np.linspace(0.0, duration_s, n_ctrl)
+    f0_track = profile.f0_hz * (1.0 + 0.03 * np.interp(t, ctrl_t, ctrl))
+    phase = 2.0 * np.pi * np.cumsum(f0_track) / RATE
+
+    n_harm = max(1, int(MAX_HARMONIC_HZ / profile.f0_hz))
+    k = np.arange(1, n_harm + 1)
+    tilt_gain = 10.0 ** (profile.harmonic_tilt_db_per_octave * np.log2(k) / 20.0)
+    amps = _formant_weight(k * profile.f0_hz, profile) * tilt_gain
+    phases0 = rng.uniform(0.0, 2.0 * np.pi, size=n_harm)
+
+    base = np.exp(1j * phase)
+    rot = np.exp(1j * phases0)
+    cur = np.ones(n, dtype=np.complex128)
+    voiced = np.zeros(n)
+    for i in range(n_harm):
+        cur = cur * base
+        voiced += amps[i] * np.imag(cur * rot[i])
+    voiced /= max(np.sqrt(np.mean(voiced**2)), 1e-12)
+
+    # Syllabic amplitude modulation with inter-syllable dips.
+    syl_rate = rng.uniform(3.0, 5.0)
+    am_phase = rng.uniform(0.0, 2.0 * np.pi)
+    env = 0.5 + 0.5 * np.sin(2.0 * np.pi * syl_rate * t + am_phase)
+    env = 0.25 + 0.75 * env**1.5
+
+    x = (voiced + 0.04 * rng.standard_normal(n)) * env
+    x *= 0.1 / max(np.sqrt(np.mean(x**2)), 1e-12)
+    return AudioBuffer(samples=x.astype(np.float32), sample_rate_hz=RATE)

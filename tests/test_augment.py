@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import diarkit.augment
 from conftest import fft_peak_hz, tone
 from diarkit.audio_io import AudioBuffer, Turn
 from diarkit.augment import (
@@ -14,6 +15,7 @@ from diarkit.augment import (
     speed_change,
 )
 from diarkit.errors import SilentInput
+from oracles import synth_utterance_oracle
 
 
 def rms(x):
@@ -68,6 +70,14 @@ class TestAddNoise:
         c = add_noise(buf, 0.1, kind="white", seed=3)
         assert np.array_equal(a.samples, b.samples)
         assert not np.array_equal(a.samples, c.samples)
+
+    @pytest.mark.parametrize("rate", [16000, 8000])
+    def test_babble_equals_babble_from_the_oracle_voices(self, rate, monkeypatch):
+        buf = tone(220.0, 3.0, rate_hz=rate)
+        got = add_noise(buf, 0.1, kind="babble", seed=5)
+        monkeypatch.setattr(diarkit.augment, "synth_utterance", synth_utterance_oracle)
+        want = add_noise(buf, 0.1, kind="babble", seed=5)
+        assert np.array_equal(got.samples, want.samples)
 
     def test_silent_input_rejected(self):
         silent = AudioBuffer(samples=np.zeros(8000, dtype=np.float32), sample_rate_hz=16000)

@@ -1,11 +1,15 @@
 """Synthetic corpus generation: voices, mixtures, and the dataset tree."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from diarkit.audio_io import parse_rttm, read_wav
 from diarkit.cluster import cosine_distance
 from diarkit.corpus import (
+    _SYNTH_BLOCK,
+    RATE,
     CorpusManifest,
     SpeakerProfile,
     default_profile_pool,
@@ -17,6 +21,7 @@ from diarkit.corpus import (
 from diarkit.embed import MfccEmbedder
 from diarkit.errors import BadSpeakerCount, BadSplit, IoError, TooShort
 from diarkit.vad import Segment
+from oracles import synth_utterance_oracle
 
 
 def _profile(i=0):
@@ -51,6 +56,34 @@ class TestSynthUtterance:
     def test_too_short_rejected(self):
         with pytest.raises(TooShort):
             synth_utterance(_profile(), 0.1, seed=0)
+
+    @pytest.mark.parametrize(
+        "n",
+        # Below one block, one block and a sample either side, past two
+        # blocks, a 3.25 s corpus turn and an 18.2 s babble voice.
+        [8000, _SYNTH_BLOCK - 1, _SYNTH_BLOCK, _SYNTH_BLOCK + 1, 2 * _SYNTH_BLOCK + 1, 52000, 291200],
+    )
+    def test_pool_equals_the_full_length_oracle(self, n):
+        for i, p in enumerate(default_profile_pool()):
+            got = synth_utterance(p, n / RATE, seed=i).samples
+            assert len(got) == n
+            assert np.array_equal(got, synth_utterance_oracle(p, n / RATE, seed=i).samples), i
+
+    def test_a_minute_equals_the_full_length_oracle(self):
+        p = _profile(5)
+        got = synth_utterance(p, 60.0, seed=4).samples
+        assert np.array_equal(got, synth_utterance_oracle(p, 60.0, seed=4).samples)
+
+    def test_memory_stays_within_eight_float64_copies(self):
+        # 60 s: one float64 copy of the output is 7.7 MB. Full-length
+        # complex harmonics peaked at 11x of it.
+        tracemalloc.start()
+        try:
+            synth_utterance(_profile(), 60.0, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 8 * 60 * RATE
 
     def test_deterministic_per_seed(self):
         a = synth_utterance(_profile(3), 1.5, seed=9)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import diarkit.audio_io
 from conftest import tone, white
 from diarkit.audio_io import sinc_interp
 from diarkit.augment import add_noise, pitch_shift, speed_change
@@ -56,6 +57,23 @@ def test_float_ratio_does_not_drift_along_a_long_input(seconds, ratio):
     assert len(got) == n_out
     at = np.r_[n_out // 2 : n_out // 2 + 32, n_out - 32 : n_out]
     np.testing.assert_allclose(got[at], resample_oracle(x, ratio, at), rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("ratio", [1 / 1.1, 2 ** (-2 / 12), Fraction(3, 1)], ids=repr)
+def test_sinc_interp_output_does_not_depend_on_the_chunk_size(ratio, monkeypatch):
+    # Table path (speed 1.1), grid path (pitch +2) and 16 kHz babble voices
+    # played at 48 kHz. Lengths put the output one short of a chunk, at a
+    # chunk and one past it (ratio 3 gives multiples of 3 only), and at
+    # 20 s of the output rate.
+    chunk = diarkit.audio_io._CHUNK_OUT
+    rng = np.random.default_rng(11)
+    for n_out in (chunk - 1, chunk, chunk + 1, 20 * 16000 * max(1, int(ratio))):
+        x = rng.standard_normal(max(1, round(n_out / float(ratio))))
+        got = sinc_interp(x, ratio)
+        assert abs(len(got) - n_out) <= 2
+        with monkeypatch.context() as m:
+            m.setattr(diarkit.audio_io, "_CHUNK_OUT", 8192)
+            assert np.array_equal(got, sinc_interp(x, ratio)), n_out
 
 
 def test_speed_and_pitch_keep_their_length_on_long_clips():
