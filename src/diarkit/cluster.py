@@ -61,7 +61,9 @@ def _pairwise(embs) -> np.ndarray:
     if np.any(norms == 0.0):
         raise ZeroVector("embeddings must be nonzero for cosine distances")
     unit = matrix / norms[:, None]
-    return np.clip(1.0 - unit @ unit.T, 0.0, 2.0)
+    d = unit @ unit.T
+    np.subtract(1.0, d, out=d)
+    return np.clip(d, 0.0, 2.0, out=d)
 
 
 def agglomerative_cluster(embs, stop) -> ClusterResult:
@@ -95,7 +97,9 @@ def agglomerative_cluster(embs, stop) -> ClusterResult:
     # of every command, and most commands never cluster.
     from scipy.cluster.hierarchy import linkage
 
-    condensed = pair[np.triu_indices(n, k=1)]  # scipy's pdist layout
+    # scipy's pdist layout: the upper triangle, row by row.
+    condensed = pair[np.triu(np.ones((n, n), dtype=bool), k=1)]
+    del pair
     trace = _greedy_trace(linkage(condensed, "average"), n)
     trace = trace[: n - k] if k is not None else [m for m in trace if m[2] <= threshold]
 

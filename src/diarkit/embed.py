@@ -29,7 +29,7 @@ from .errors import (
     TooShort,
     TruncatedFile,
 )
-from .vad import Segment, _frame_blocks
+from .vad import _BLOCK_FRAMES, Segment, _frame_blocks
 
 _PRE_EMPHASIS = 0.97
 _MIN_NFFT = 512
@@ -73,13 +73,18 @@ def _mel_filterbank(n_mels: int, nfft: int, rate: int) -> np.ndarray:
     return np.maximum(0.0, np.minimum(rising, falling))
 
 
-def _deltas(c: np.ndarray, n: int = 2) -> np.ndarray:
-    """Regression deltas over frames with edge padding."""
+def _deltas(c: np.ndarray, n: int = 2, out: np.ndarray | None = None) -> np.ndarray:
+    """Regression deltas over frames with edge padding, into ``out`` if given."""
     padded = np.pad(c, ((n, n), (0, 0)), mode="edge")
-    num = np.zeros_like(c)
+    num = np.empty_like(c) if out is None else out
+    num[...] = 0.0
+    term = np.empty_like(c)
     for k in range(1, n + 1):
-        num += k * (padded[n + k : len(padded) - n + k] - padded[n - k : len(padded) - n - k])
-    return num / (2.0 * sum(k * k for k in range(1, n + 1)))
+        np.subtract(padded[n + k : len(padded) - n + k], padded[n - k : len(padded) - n - k], out=term)
+        term *= k
+        num += term
+    num /= 2.0 * sum(k * k for k in range(1, n + 1))
+    return num
 
 
 def _frame_starts(n_samples: int, frame: int, hop: int) -> np.ndarray:
@@ -94,9 +99,9 @@ def _buffer_features(
     """Cepstra + deltas for every full frame of the buffer.
 
     Frames are read in blocks: each block is pre-emphasised from the
-    float32 samples plus one sample of history, then windowed,
-    transformed and reduced to log-mel rows, so no temporary grows with
-    the buffer beyond the log-mel matrix itself.
+    float32 samples plus one sample of history, then windowed and
+    transformed to cepstral rows of the preallocated feature matrix. Mean
+    subtraction and deltas work in place on its column slices.
 
     The cepstral mean is taken over the whole buffer, so features of a
     segment depend on the recording it came from but not on where the
@@ -113,21 +118,31 @@ def _buffer_features(
     # Zero-pad to a power of two; a frame longer than _MIN_NFFT is never cropped.
     nfft = max(_MIN_NFFT, 1 << (frame - 1).bit_length())
     fb_t = _mel_filterbank(n_mels, nfft, rate).T
-    logmel = np.empty((len(starts), n_mels))
+    feats = np.empty((len(starts), 3 * n_coeffs))
+    cepstra, d1, d2 = (feats[:, i * n_coeffs : (i + 1) * n_coeffs] for i in range(3))
+    # The largest block temporaries are reused: freed and allocated anew,
+    # the allocator hands them back to the OS and faults them in again.
+    rows = min(len(starts), _BLOCK_FRAMES)
+    windowed = np.empty((rows, frame))
+    spectrum = np.empty((rows, nfft // 2 + 1), dtype=np.complex128)
+    power = np.empty((rows, nfft // 2 + 1))
     for lo, hi in _frame_blocks(len(starts)):
         first, end = int(starts[lo]), int(starts[hi - 1]) + frame
-        x = buf.samples[max(first - 1, 0) : end].astype(np.float64)
-        emphasised = x[1:] - _PRE_EMPHASIS * x[:-1]
-        if first == 0:
-            emphasised = np.concatenate([x[:1], emphasised])
-        frames = sliding_window_view(emphasised, frame)[::hop]
-        power = np.abs(np.fft.rfft(frames * window, n=nfft, axis=1)) ** 2
-        logmel[lo:hi] = np.log(np.maximum(power @ fb_t, _LOG_FLOOR))
-    cepstra = dct(logmel, type=2, norm="ortho", axis=1)[:, 1 : n_coeffs + 1]
-    cepstra = cepstra - np.mean(cepstra, axis=0, keepdims=True)
-    d1 = _deltas(cepstra)
-    d2 = _deltas(d1)
-    return starts, np.concatenate([cepstra, d1, d2], axis=1)
+        start = max(first - 1, 0)
+        x = buf.samples[start:end].astype(np.float64)
+        x[1:] -= _PRE_EMPHASIS * x[:-1]  # x[0] is history, or sample 0 as it is
+        frames = sliding_window_view(x[first - start :], frame)[::hop]
+        n = hi - lo
+        np.multiply(frames, window, out=windowed[:n])
+        np.fft.rfft(windowed[:n], n=nfft, axis=1, out=spectrum[:n])
+        np.square(np.abs(spectrum[:n], out=power[:n]), out=power[:n])
+        logmel = np.log(np.maximum(power[:n] @ fb_t, _LOG_FLOOR))
+        cepstra[lo:hi] = dct(logmel, type=2, norm="ortho", axis=1)[:, 1 : n_coeffs + 1]
+    del windowed, spectrum, power
+    cepstra -= np.mean(cepstra, axis=0, keepdims=True)
+    _deltas(cepstra, out=d1)
+    _deltas(d1, out=d2)
+    return starts, feats
 
 
 def _segment_rows(

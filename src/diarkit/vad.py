@@ -3,6 +3,9 @@
 Speech is detected by frame energy relative to the buffer's own noise
 floor, so the decision is unaffected by overall gain. Detected regions
 are then cut into overlapping fixed-length windows for embedding.
+
+Detection centres the float32 samples in float64 one block of frames at
+a time, so it holds nothing the size of the buffer but one value a frame.
 """
 
 from __future__ import annotations
@@ -25,7 +28,10 @@ _ZERO_DB = -1e12
 
 # Framing reads this many frames at a time, so its temporaries stay the
 # same size however long the buffer is.
-_BLOCK_FRAMES = 4096
+_BLOCK_FRAMES = 1024
+
+# The buffer mean is summed in float64 leaves of at most this many samples.
+_SUM_LEAF = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -71,40 +77,59 @@ class Segment:
 def _frame_blocks(n_frames: int):
     """Row ranges [lo, hi) splitting ``n_frames`` frames into equal blocks.
 
-    No block holds more than ``_BLOCK_FRAMES`` frames, and none is a short
-    remainder: BLAS multiplies matrices of a few rows along a different
-    path, which would change the last bits of the MFCC log-mel rows.
+    No block holds more than ``_BLOCK_FRAMES`` frames, and past one block
+    none holds fewer than half that: BLAS multiplies matrices of a few rows
+    along a different path, which would change the last bits of the MFCC
+    log-mel rows.
     """
     count = -(-n_frames // _BLOCK_FRAMES)
     for i in range(count):
         yield i * n_frames // count, (i + 1) * n_frames // count
 
 
-def _frame_energies(x: np.ndarray, frame: int, hop: int) -> np.ndarray:
-    """Sum of squares of every full frame.
+def _pairwise_sum(x: np.ndarray, lo: int, hi: int) -> float:
+    """Sum of ``x[lo:hi]``, bit-identical to ``np.sum`` of a float64 copy:
+    it splits as numpy's pairwise sum does (n // 2 rounded down to a
+    multiple of 8), and only a leaf is converted to float64."""
+    n = hi - lo
+    if n <= _SUM_LEAF:
+        return float(np.add.reduce(x[lo:hi].astype(np.float64)))
+    half = n // 2
+    half -= half % 8
+    return _pairwise_sum(x, lo, lo + half) + _pairwise_sum(x, lo + half, hi)
 
-    Frames are read in blocks of a strided view of ``x``, so the only
-    temporary is one block of squared frames, whatever the buffer length.
+
+def _frame_energies(x: np.ndarray, frame: int, hop: int, *, mean: float = 0.0) -> np.ndarray:
+    """Sum of squares of every full frame of ``x - mean``.
+
+    Frames are read and centred in float64 in blocks of a strided view of
+    ``x``, so the only temporary is one block, whatever the buffer length.
     """
     frames = sliding_window_view(x, frame)[::hop]
     energy = np.empty(len(frames))
     for lo, hi in _frame_blocks(len(frames)):
-        energy[lo:hi] = np.sum(frames[lo:hi] ** 2, axis=1)
+        blk = frames[lo:hi].astype(np.float64)
+        blk -= mean
+        blk *= blk
+        energy[lo:hi] = np.sum(blk, axis=1)
     return energy
 
 
-def _spectral_flatness(x: np.ndarray, frame: int, hop: int) -> float:
+def _spectral_flatness(x: np.ndarray, frame: int, hop: int, *, mean: float = 0.0) -> float:
     """Geometric over arithmetic mean of the averaged power spectrum.
 
     Near 1 for broadband noise, near 0 for tonal content. Normalised by
-    the peak bin so the measure is independent of signal scale. Frame
-    spectra are summed block by block.
+    the peak bin so the measure is independent of signal scale. Frames
+    are centred on ``mean`` and their spectra summed block by block.
     """
     frames = sliding_window_view(x, frame)[::hop]
     w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame) / frame)
     total = np.zeros(frame // 2 + 1)
     for lo, hi in _frame_blocks(len(frames)):
-        total += np.sum(np.abs(np.fft.rfft(frames[lo:hi] * w, axis=1)) ** 2, axis=0)
+        blk = frames[lo:hi].astype(np.float64)
+        blk -= mean
+        blk *= w
+        total += np.sum(np.abs(np.fft.rfft(blk, axis=1)) ** 2, axis=0)
     power = total[1:] / len(frames)  # DC excluded; it was removed anyway
     peak = float(np.max(power))
     if peak <= 0.0:
@@ -145,12 +170,13 @@ def energy_vad(
             f"{frame}-sample frame"
         )
 
-    x = buf.samples.astype(np.float64)
-    x -= np.mean(x)
-    if not np.any(x):
+    x = buf.samples
+    mean = _pairwise_sum(x, 0, len(x)) / len(x)
+    # Every centred sample is zero exactly when all samples equal the mean.
+    if float(x.min()) == float(x.max()) == mean:
         return []
 
-    energy = _frame_energies(x, frame, hop)
+    energy = _frame_energies(x, frame, hop, mean=mean)
     db = np.full(len(energy), _ZERO_DB)
     nz = energy > 0.0
     db[nz] = 10.0 * np.log10(energy[nz])
@@ -158,7 +184,7 @@ def energy_vad(
     floor = float(np.percentile(db, 10.0))
     if float(np.max(db)) - floor < threshold_db:
         # Uniform-energy buffer; fall back to a whole-buffer decision.
-        if _spectral_flatness(x, frame, hop) < 0.3:
+        if _spectral_flatness(x, frame, hop, mean=mean) < 0.3:
             return [SpeechRegion(0.0, buf.duration_s)]
         return []
 

@@ -293,6 +293,52 @@ def spectral_flatness_oracle(x: np.ndarray, frame: int, hop: int) -> float:
     return float(np.exp(np.mean(np.log(p))) / np.mean(p))
 
 
+def energy_vad_oracle(buf, frame_ms=30.0, hop_ms=10.0, threshold_db=6.0, hangover_ms=200.0):
+    """Speech regions from a full float64 copy of the buffer, centred on
+    ``np.mean`` of that copy and framed by the fancy-index oracles above.
+
+    Only the detection rule is shared: the constants and the region type
+    come from ``diarkit.vad``.
+    """
+    from diarkit.vad import _ZERO_DB, MIN_REGION_S, SpeechRegion
+
+    rate = buf.sample_rate_hz
+    frame = int(round(rate * frame_ms / 1000.0))
+    hop = int(round(rate * hop_ms / 1000.0))
+    x = buf.samples.astype(np.float64)
+    x -= np.mean(x)
+    if not np.any(x):
+        return []
+    energy = frame_energies_oracle(x, frame, hop)
+    db = np.full(len(energy), _ZERO_DB)
+    nz = energy > 0.0
+    db[nz] = 10.0 * np.log10(energy[nz])
+    floor = float(np.percentile(db, 10.0))
+    if float(np.max(db)) - floor < threshold_db:
+        if spectral_flatness_oracle(x, frame, hop) < 0.3:
+            return [SpeechRegion(0.0, buf.duration_s)]
+        return []
+
+    runs = []
+    for i in np.flatnonzero(db >= floor + threshold_db):
+        on, off = int(i) * hop, int(i) * hop + frame
+        if runs and on <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], off)
+        else:
+            runs.append([on, off])
+    merged = []
+    for on, off in runs:
+        if merged and on - merged[-1][1] < hangover_ms / 1000.0 * rate:
+            merged[-1][1] = max(merged[-1][1], off)
+        else:
+            merged.append([on, off])
+    return [
+        SpeechRegion(on / rate, off / rate)
+        for on, off in merged
+        if (off - on) / rate >= MIN_REGION_S
+    ]
+
+
 def synth_utterance_oracle(profile, duration_s: float, seed: int):
     """One voice from a full-length harmonic recurrence: the loop
     multiplies whole (n,) complex arrays, one pass per harmonic.

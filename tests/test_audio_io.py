@@ -250,3 +250,99 @@ def test_turn_validation():
         Turn("f", "s", 0.0, 0.0)
     t = Turn("f", "s", 1.0, 2.0)
     assert t.offset_s == 3.0
+
+
+# ---- streamed WAV parsing and block conversion ----
+
+
+def _riff(*chunks):
+    """A RIFF/WAVE file from (chunk id, body) pairs, pad bytes included."""
+    body = b"".join(
+        cid + struct.pack("<I", len(data)) + data + b"\0" * (len(data) & 1)
+        for cid, data in chunks
+    )
+    return b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
+
+
+def _fmt(code=1, bits=16, rate=16000):
+    return b"fmt ", struct.pack("<HHIIHH", code, 1, rate, rate * bits // 8, bits // 8, bits)
+
+
+def _pcm16_oracle(buf):
+    """The whole-buffer conversion write_wav used before it worked in blocks."""
+    ints = np.clip(np.rint(buf.samples.astype(np.float64) * 32768.0), -32768, 32767)
+    return ints.astype("<i2").tobytes()
+
+
+def test_wav_skips_an_odd_sized_chunk_and_its_pad_byte(tmp_path):
+    codes = np.array([1, -2, 300, -32768, 32767], dtype="<i2")
+    p = tmp_path / "odd.wav"
+    p.write_bytes(_riff((b"LIST", b"abc"), _fmt(), (b"data", codes.tobytes())))
+    assert np.array_equal(read_wav(p).samples, codes.astype(np.float32) / 32768.0)
+
+
+def test_wav_reads_chunks_after_data(tmp_path):
+    codes = np.arange(-50, 50, dtype="<i2")
+    p = tmp_path / "tail.wav"
+    p.write_bytes(_riff(_fmt(), (b"data", codes.tobytes()), (b"LIST", b"x" * 9)))
+    assert np.array_equal(read_wav(p).samples, codes.astype(np.float32) / 32768.0)
+    # fmt may also follow the data chunk.
+    p.write_bytes(_riff((b"data", codes.tobytes()), _fmt()))
+    assert np.array_equal(read_wav(p).samples, codes.astype(np.float32) / 32768.0)
+
+
+def test_wav_reads_float32_data(tmp_path):
+    values = np.random.default_rng(4).uniform(-1, 1, 1001).astype("<f4")
+    p = tmp_path / "f.wav"
+    p.write_bytes(_riff(_fmt(code=3, bits=32, rate=8000), (b"data", values.tobytes())))
+    back = read_wav(p)
+    assert back.sample_rate_hz == 8000
+    assert back.samples.tobytes() == values.tobytes()
+
+
+def test_wav_data_chunk_one_byte_short_is_corrupt(tmp_path):
+    data = np.zeros(64, dtype="<i2").tobytes()
+    raw = _riff(_fmt(), (b"data", data))
+    p = tmp_path / "short.wav"
+    p.write_bytes(raw[:-1])
+    with pytest.raises(CorruptHeader):
+        read_wav(p)
+
+
+@pytest.mark.parametrize("bit_depth", [16, "f32"])
+def test_wav_round_trip_over_several_blocks(tmp_path, bit_depth):
+    # Lengths around the I/O block size, so a partial last block is read.
+    from diarkit.audio_io import _IO_BLOCK
+
+    for n in (_IO_BLOCK - 1, _IO_BLOCK, 3 * _IO_BLOCK + 17):
+        buf = random_buffer(n=n, seed=n)
+        p = tmp_path / f"b{n}.wav"
+        write_wav(p, buf, bit_depth)
+        raw = p.read_bytes()
+        dtype = "<i2" if bit_depth == 16 else "<f4"
+        want = np.frombuffer(raw[44:], dtype=dtype).astype(np.float32)
+        if bit_depth == 16:
+            want /= 32768.0
+        assert read_wav(p).samples.tobytes() == want.tobytes()
+
+
+def test_pcm16_bytes_equal_the_whole_buffer_conversion(tmp_path):
+    from diarkit.audio_io import _IO_BLOCK
+
+    rng = np.random.default_rng(9)
+    edge = np.array([1.0, -1.0, 1.5, -2.0, 0.99999, -1.00001, 0.5 / 32768, -0.5 / 32768, 0.0])
+    cases = [edge, rng.uniform(-1, 1, 4000), rng.uniform(-1.5, 1.5, 2 * _IO_BLOCK + 3)]
+    for i, x in enumerate(cases):
+        buf = AudioBuffer(x.astype(np.float32), 16000)
+        p = tmp_path / f"c{i}.wav"
+        write_wav(p, buf, 16)
+        assert p.read_bytes()[44:] == _pcm16_oracle(buf), i
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", [0, 500, -1])
+def test_audio_buffer_rejects_a_non_finite_sample_anywhere(bad, where):
+    x = np.zeros(1001, dtype=np.float32)
+    x[where] = bad
+    with pytest.raises(ValueError):
+        AudioBuffer(x, 16000)

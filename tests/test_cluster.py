@@ -225,3 +225,45 @@ def test_every_segment_covered_by_its_turn():
             and seg.offset_s <= t.offset_s + 1e-9
             for t in turns
         )
+
+
+def _old_condensed(matrix):
+    """Distances as the whole-matrix formula with triu_indices gave them."""
+    unit = matrix / np.linalg.norm(matrix, axis=1)[:, None]
+    pair = np.clip(1.0 - unit @ unit.T, 0.0, 2.0)
+    return pair[np.triu_indices(len(matrix), k=1)]
+
+
+def test_condensed_distances_equal_the_whole_matrix_formula(monkeypatch):
+    import scipy.cluster.hierarchy as hierarchy
+
+    seen = []
+    real = hierarchy.linkage
+
+    def recording_linkage(y, method):
+        seen.append(y)
+        return real(y, method)
+
+    monkeypatch.setattr(hierarchy, "linkage", recording_linkage)
+    rng = np.random.default_rng(21)
+    for case in range(24):
+        n = int(rng.integers(2, 60))
+        pts = rng.normal(size=(n, 8))
+        if case % 2:  # duplicate-heavy
+            pts = pts[rng.integers(0, max(1, n // 4), size=n)]
+        agglomerative_cluster(_embs(pts), {"k": 1})
+        assert np.array_equal(seen[-1], _old_condensed(pts)), case
+
+
+def test_clustering_memory_stays_within_two_distance_matrices():
+    import tracemalloc
+
+    n = 3000
+    embs = _embs(np.random.default_rng(22).normal(size=(n, 52)))
+    tracemalloc.start()
+    try:
+        agglomerative_cluster(embs, {"k": 4})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 8 * n * n

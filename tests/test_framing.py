@@ -1,17 +1,30 @@
 """Block framing in VAD and MFCC against whole-buffer fancy-index oracles."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 
-from diarkit.audio_io import AudioBuffer
+from diarkit.audio_io import AudioBuffer, read_wav, write_wav
 from diarkit.corpus import generate_mixture
 from diarkit.embed import _buffer_features
-from diarkit.vad import _BLOCK_FRAMES, _frame_energies, _spectral_flatness, energy_vad
+from diarkit.vad import (
+    _BLOCK_FRAMES,
+    _frame_energies,
+    _pairwise_sum,
+    _spectral_flatness,
+    energy_vad,
+)
 
 from conftest import tone
-from oracles import buffer_features_oracle, frame_energies_oracle, spectral_flatness_oracle
+from oracles import (
+    buffer_features_oracle,
+    energy_vad_oracle,
+    frame_energies_oracle,
+    spectral_flatness_oracle,
+)
 
 RATES = (8000, 16000, 44100, 48000)
 
@@ -99,3 +112,74 @@ def test_framing_memory_stays_within_three_float64_copies():
     budget = 3 * 8 * len(buf)
     assert _traced_peak(energy_vad, buf) <= budget
     assert _traced_peak(_buffer_features, buf, 40, 13, 25.0, 10.0) <= budget
+
+
+# ---- VAD without a float64 copy of the buffer ----
+
+
+def _dc(level, n, rate=16000):
+    return AudioBuffer(np.full(n, level, dtype=np.float32), rate)
+
+
+@pytest.mark.parametrize("rate", RATES)
+def test_energy_vad_equals_the_float64_copy_oracle(rate):
+    for i, n in enumerate(_lengths(rate, 30.0, 10.0)):
+        buf = _signal(n, rate, seed=40 + i)
+        assert energy_vad(buf) == energy_vad_oracle(buf), n
+    # A DC offset under the noise moves the mean off zero.
+    offset = AudioBuffer(_signal(3 * rate, rate, seed=49).samples + np.float32(0.3), rate)
+    assert energy_vad(offset) == energy_vad_oracle(offset)
+
+
+def test_energy_vad_equals_the_oracle_on_constant_and_flat_buffers():
+    cases = [_dc(level, n) for level in (0.1, -0.3, 1 / 3) for n in (480, 2**20 + 7)]
+    cases += [_dc(0.0, 16000), tone(440.0, 45.0)]
+    cases += [generate_mixture(0, duration, seed=seed)[0] for seed, duration in ((0, 15.0), (1, 45.0))]
+    cases.append(generate_mixture(3, 60.0, seed=1)[0])
+    for buf in cases:
+        assert energy_vad(buf) == energy_vad_oracle(buf)
+
+
+def test_buffer_mean_is_bit_identical_to_the_float64_copy_mean():
+    rng = np.random.default_rng(3)
+    lengths = [1, 7, 8, 2**16 - 1, 2**16, 2**16 + 1, 2**17 + 3]
+    lengths += [int(n) for n in rng.integers(2**17, 3_000_000, size=6)]
+    for n in lengths:
+        s = (rng.standard_normal(n) * rng.uniform(0.01, 2.0) + rng.uniform(-1, 1)).astype(np.float32)
+        assert _pairwise_sum(s, 0, n) / n == np.mean(s.astype(np.float64)), n
+
+
+def test_stages_leave_no_reference_cycle_holding_the_samples(tmp_path):
+    # With the cyclic collector off, a reference cycle through a stage's
+    # frames would keep each file's samples alive after the file is done.
+    path = tmp_path / "a.wav"
+    gc.disable()
+    try:
+        buf = _signal(20 * 16000, 16000, seed=6)
+        energy_vad(buf)
+        _buffer_features(buf, 40, 13, 25.0, 10.0)
+        write_wav(path, buf)
+        samples = weakref.ref(buf.samples)
+        del buf
+        assert samples() is None
+        buf = read_wav(path)
+        energy_vad(buf)
+        samples = weakref.ref(buf.samples)
+        del buf
+        assert samples() is None
+    finally:
+        gc.enable()
+
+
+def test_stage_memory_stays_within_fixed_blocks_of_the_buffer(tmp_path):
+    # 300 s at 16 kHz: the float64 size is 38.4 MB, the float32 size
+    # 19.2 MB. A whole-buffer float64 copy alone would be 1.0x of the
+    # former; the feature matrix itself is 0.24x.
+    rate = 16000
+    buf = _signal(300 * rate, rate, seed=7)
+    f64 = 8 * len(buf)
+    assert _traced_peak(energy_vad, buf) <= 0.4 * f64
+    assert _traced_peak(_buffer_features, buf, 40, 13, 25.0, 10.0) <= 0.8 * f64
+    path = tmp_path / "long.wav"
+    assert _traced_peak(write_wav, path, buf) <= 0.5 * f64
+    assert _traced_peak(read_wav, path) <= 1.1 * 4 * len(buf)
