@@ -44,8 +44,8 @@ _GRID_STEPS = 4096
 # instead of faulting in fresh mmap'd pages for every chunk. An output
 # depends only on its own row, so the chunk size does not change a sample.
 _CHUNK_OUT = 1024
-# Samples per staging block when reading and writing WAV data.
-_IO_BLOCK = 1 << 16
+# Samples converted per block when writing PCM16 WAV data.
+_WRITE_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,57 +104,47 @@ class Turn:
 def read_wav(path: str | os.PathLike) -> AudioBuffer:
     """Read a mono RIFF/WAVE file (PCM16 or float32) into an AudioBuffer.
 
-    Chunk headers are read one by one and the samples pass through a
-    fixed staging block, so no copy of the whole file is held.
-
     Raises FileNotFoundError, CorruptHeader, or UnsupportedFormat.
     """
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(12)
-        if len(head) < 12 or head[0:4] != b"RIFF":
-            raise CorruptHeader(f"{path}: not a RIFF file")
-        if head[8:12] != b"WAVE":
-            raise CorruptHeader(f"{path}: RIFF without WAVE form type")
+        data = fh.read()
+    if len(data) < 12 or data[0:4] != b"RIFF":
+        raise CorruptHeader(f"{path}: not a RIFF file")
+    if data[8:12] != b"WAVE":
+        raise CorruptHeader(f"{path}: RIFF without WAVE form type")
 
-        fmt = None
-        data_pos = data_size = None
-        pos = 12
-        while pos + 8 <= size:
-            fh.seek(pos)
-            chunk_id, chunk_size = struct.unpack("<4sI", fh.read(8))
-            if chunk_id == b"fmt ":
-                if min(chunk_size, size - pos - 8) < 16:
-                    raise CorruptHeader(f"{path}: fmt chunk too small")
-                fmt = struct.unpack("<HHIIHH", fh.read(16))
-            elif chunk_id == b"data":
-                if size - pos - 8 < chunk_size:
-                    raise CorruptHeader(f"{path}: data chunk truncated")
-                data_pos, data_size = pos + 8, chunk_size
-            pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
-
-        if fmt is None or data_pos is None:
-            raise CorruptHeader(f"{path}: missing fmt or data chunk")
-        audio_format, channels, rate, _byte_rate, _block_align, bits = fmt
-        if channels != 1:
-            raise UnsupportedFormat(f"{path}: {channels} channels, expected mono")
-        dtype = {(_FMT_PCM, 16): "<i2", (_FMT_IEEE_FLOAT, 32): "<f4"}.get((audio_format, bits))
-        if dtype is None:
-            raise UnsupportedFormat(
-                f"{path}: codec {audio_format} at {bits} bits not supported"
-            )
-        stage = np.empty(_IO_BLOCK, dtype=dtype)
-        if data_size % stage.itemsize:
-            raise ValueError("buffer size must be a multiple of element size")
-        samples = np.empty(data_size // stage.itemsize, dtype=np.float32)
-        fh.seek(data_pos)
-        for lo in range(0, len(samples), _IO_BLOCK):
-            block = stage[: min(_IO_BLOCK, len(samples) - lo)]
-            if fh.readinto(block) != block.nbytes:
+    fmt = None
+    payload = None
+    pos = 12
+    view = memoryview(data)  # chunk bodies are slices of it, not copies
+    while pos + 8 <= len(data):
+        chunk_id = data[pos : pos + 4]
+        (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
+        body = view[pos + 8 : pos + 8 + chunk_size]
+        if chunk_id == b"fmt ":
+            if len(body) < 16:
+                raise CorruptHeader(f"{path}: fmt chunk too small")
+            fmt = struct.unpack_from("<HHIIHH", body, 0)
+        elif chunk_id == b"data":
+            if len(body) < chunk_size:
                 raise CorruptHeader(f"{path}: data chunk truncated")
-            samples[lo : lo + len(block)] = block
-    if audio_format == _FMT_PCM:
+            payload = body
+        pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
+
+    if fmt is None or payload is None:
+        raise CorruptHeader(f"{path}: missing fmt or data chunk")
+    audio_format, channels, rate, _byte_rate, _block_align, bits = fmt
+    if channels != 1:
+        raise UnsupportedFormat(f"{path}: {channels} channels, expected mono")
+    if (audio_format, bits) == (_FMT_PCM, 16):
+        samples = np.frombuffer(payload, dtype="<i2").astype(np.float32)
         samples /= 32768.0
+    elif (audio_format, bits) == (_FMT_IEEE_FLOAT, 32):
+        samples = np.frombuffer(payload, dtype="<f4").astype(np.float32)
+    else:
+        raise UnsupportedFormat(
+            f"{path}: codec {audio_format} at {bits} bits not supported"
+        )
     return AudioBuffer(samples, rate)
 
 
@@ -164,13 +154,10 @@ def write_wav(path: str | os.PathLike, buf: AudioBuffer, bit_depth: int | str = 
         raise EmptyBuffer("refusing to write an empty buffer")
     if bit_depth == 16:
         payload = np.empty(len(buf), dtype="<i2")
-        for lo in range(0, len(buf), _IO_BLOCK):
+        for lo in range(0, len(buf), _WRITE_BLOCK):
+            x = buf.samples[lo : lo + _WRITE_BLOCK].astype(np.float64)
             # round-to-nearest, clamped so +1.0 stores as 32767
-            x = buf.samples[lo : lo + _IO_BLOCK].astype(np.float64)
-            x *= 32768.0
-            np.rint(x, out=x)
-            np.clip(x, -32768, 32767, out=x)
-            payload[lo : lo + len(x)] = x
+            payload[lo : lo + len(x)] = np.clip(np.rint(x * 32768.0), -32768, 32767)
         audio_format, bits = _FMT_PCM, 16
     elif bit_depth == "f32":
         payload = np.asarray(buf.samples, dtype="<f4")

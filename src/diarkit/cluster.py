@@ -62,8 +62,7 @@ def _pairwise(embs) -> np.ndarray:
         raise ZeroVector("embeddings must be nonzero for cosine distances")
     unit = matrix / norms[:, None]
     d = unit @ unit.T
-    np.subtract(1.0, d, out=d)
-    return np.clip(d, 0.0, 2.0, out=d)
+    return np.clip(np.subtract(1.0, d, out=d), 0.0, 2.0, out=d)
 
 
 def agglomerative_cluster(embs, stop) -> ClusterResult:
@@ -96,9 +95,9 @@ def agglomerative_cluster(embs, stop) -> ClusterResult:
     # Imported on first use: scipy.cluster adds ~0.2 s to the start-up
     # of every command, and most commands never cluster.
     from scipy.cluster.hierarchy import linkage
+    from scipy.spatial.distance import squareform
 
-    # scipy's pdist layout: the upper triangle, row by row.
-    condensed = pair[np.triu(np.ones((n, n), dtype=bool), k=1)]
+    condensed = squareform(pair, checks=False)  # scipy's pdist layout
     del pair
     trace = _greedy_trace(linkage(condensed, "average"), n)
     trace = trace[: n - k] if k is not None else [m for m in trace if m[2] <= threshold]

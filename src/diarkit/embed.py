@@ -73,18 +73,17 @@ def _mel_filterbank(n_mels: int, nfft: int, rate: int) -> np.ndarray:
     return np.maximum(0.0, np.minimum(rising, falling))
 
 
-def _deltas(c: np.ndarray, n: int = 2, out: np.ndarray | None = None) -> np.ndarray:
-    """Regression deltas over frames with edge padding, into ``out`` if given."""
+def _deltas(c: np.ndarray, *, out: np.ndarray, n: int = 2) -> np.ndarray:
+    """Regression deltas over frames with edge padding, written into ``out``."""
     padded = np.pad(c, ((n, n), (0, 0)), mode="edge")
-    num = np.empty_like(c) if out is None else out
-    num[...] = 0.0
+    out[...] = 0.0
     term = np.empty_like(c)
     for k in range(1, n + 1):
         np.subtract(padded[n + k : len(padded) - n + k], padded[n - k : len(padded) - n - k], out=term)
         term *= k
-        num += term
-    num /= 2.0 * sum(k * k for k in range(1, n + 1))
-    return num
+        out += term
+    out /= 2.0 * sum(k * k for k in range(1, n + 1))
+    return out
 
 
 def _frame_starts(n_samples: int, frame: int, hop: int) -> np.ndarray:
@@ -120,11 +119,10 @@ def _buffer_features(
     fb_t = _mel_filterbank(n_mels, nfft, rate).T
     feats = np.empty((len(starts), 3 * n_coeffs))
     cepstra, d1, d2 = (feats[:, i * n_coeffs : (i + 1) * n_coeffs] for i in range(3))
-    # The largest block temporaries are reused: freed and allocated anew,
-    # the allocator hands them back to the OS and faults them in again.
+    # The windowed frames and power spectra are reused: freed and allocated
+    # anew, the allocator hands them back to the OS and faults them in again.
     rows = min(len(starts), _BLOCK_FRAMES)
     windowed = np.empty((rows, frame))
-    spectrum = np.empty((rows, nfft // 2 + 1), dtype=np.complex128)
     power = np.empty((rows, nfft // 2 + 1))
     for lo, hi in _frame_blocks(len(starts)):
         first, end = int(starts[lo]), int(starts[hi - 1]) + frame
@@ -134,8 +132,8 @@ def _buffer_features(
         frames = sliding_window_view(x[first - start :], frame)[::hop]
         n = hi - lo
         np.multiply(frames, window, out=windowed[:n])
-        np.fft.rfft(windowed[:n], n=nfft, axis=1, out=spectrum[:n])
-        np.square(np.abs(spectrum[:n], out=power[:n]), out=power[:n])
+        spectrum = np.fft.rfft(windowed[:n], n=nfft, axis=1)
+        np.square(np.abs(spectrum, out=power[:n]), out=power[:n])
         logmel = np.log(np.maximum(power[:n] @ fb_t, _LOG_FLOOR))
         cepstra[lo:hi] = dct(logmel, type=2, norm="ortho", axis=1)[:, 1 : n_coeffs + 1]
     del windowed, spectrum, power

@@ -3,9 +3,6 @@
 Speech is detected by frame energy relative to the buffer's own noise
 floor, so the decision is unaffected by overall gain. Detected regions
 are then cut into overlapping fixed-length windows for embedding.
-
-Detection centres the float32 samples in float64 one block of frames at
-a time, so it holds nothing the size of the buffer but one value a frame.
 """
 
 from __future__ import annotations
@@ -94,8 +91,7 @@ def _pairwise_sum(x: np.ndarray, lo: int, hi: int) -> float:
     n = hi - lo
     if n <= _SUM_LEAF:
         return float(np.add.reduce(x[lo:hi].astype(np.float64)))
-    half = n // 2
-    half -= half % 8
+    half = n // 16 * 8
     return _pairwise_sum(x, lo, lo + half) + _pairwise_sum(x, lo + half, hi)
 
 
@@ -108,10 +104,8 @@ def _frame_energies(x: np.ndarray, frame: int, hop: int, *, mean: float = 0.0) -
     frames = sliding_window_view(x, frame)[::hop]
     energy = np.empty(len(frames))
     for lo, hi in _frame_blocks(len(frames)):
-        blk = frames[lo:hi].astype(np.float64)
-        blk -= mean
-        blk *= blk
-        energy[lo:hi] = np.sum(blk, axis=1)
+        blk = np.subtract(frames[lo:hi], mean, dtype=np.float64)
+        energy[lo:hi] = np.sum(np.square(blk, out=blk), axis=1)
     return energy
 
 
@@ -126,10 +120,8 @@ def _spectral_flatness(x: np.ndarray, frame: int, hop: int, *, mean: float = 0.0
     w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame) / frame)
     total = np.zeros(frame // 2 + 1)
     for lo, hi in _frame_blocks(len(frames)):
-        blk = frames[lo:hi].astype(np.float64)
-        blk -= mean
-        blk *= w
-        total += np.sum(np.abs(np.fft.rfft(blk, axis=1)) ** 2, axis=0)
+        blk = np.subtract(frames[lo:hi], mean, dtype=np.float64)
+        total += np.sum(np.abs(np.fft.rfft(blk * w, axis=1)) ** 2, axis=0)
     power = total[1:] / len(frames)  # DC excluded; it was removed anyway
     peak = float(np.max(power))
     if peak <= 0.0:

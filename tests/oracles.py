@@ -236,11 +236,20 @@ def frame_energies_oracle(x: np.ndarray, frame: int, hop: int) -> np.ndarray:
     return np.sum(x[idx] ** 2, axis=1)
 
 
+def _deltas_oracle(c: np.ndarray, n: int = 2) -> np.ndarray:
+    """Regression deltas over frames with edge padding, in new arrays."""
+    padded = np.pad(c, ((n, n), (0, 0)), mode="edge")
+    num = np.zeros_like(c)
+    for k in range(1, n + 1):
+        num += k * (padded[n + k : len(padded) - n + k] - padded[n - k : len(padded) - n - k])
+    return num / (2.0 * sum(k * k for k in range(1, n + 1)))
+
+
 def buffer_features_oracle(buf, n_mels, n_coeffs, frame_ms, hop_ms):
     """Cepstra + deltas from a whole-buffer pre-emphasis and a full
     (n_frames, frame) fancy-index matrix.
 
-    Only the framing is independent: the filterbank, the deltas and the
+    The framing and the deltas are independent; the filterbank and the
     constants come from ``diarkit.embed``, because they are not what
     this oracle checks.
     """
@@ -250,7 +259,6 @@ def buffer_features_oracle(buf, n_mels, n_coeffs, frame_ms, hop_ms):
         _LOG_FLOOR,
         _MIN_NFFT,
         _PRE_EMPHASIS,
-        _deltas,
         _frame_starts,
         _mel_filterbank,
     )
@@ -273,8 +281,8 @@ def buffer_features_oracle(buf, n_mels, n_coeffs, frame_ms, hop_ms):
     logmel = np.log(np.maximum(power @ fb.T, _LOG_FLOOR))
     cepstra = dct(logmel, type=2, norm="ortho", axis=1)[:, 1 : n_coeffs + 1]
     cepstra = cepstra - np.mean(cepstra, axis=0, keepdims=True)
-    d1 = _deltas(cepstra)
-    d2 = _deltas(d1)
+    d1 = _deltas_oracle(cepstra)
+    d2 = _deltas_oracle(d1)
     return starts, np.concatenate([cepstra, d1, d2], axis=1)
 
 

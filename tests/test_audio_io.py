@@ -252,7 +252,7 @@ def test_turn_validation():
     assert t.offset_s == 3.0
 
 
-# ---- streamed WAV parsing and block conversion ----
+# ---- WAV parsing and block conversion ----
 
 
 def _riff(*chunks):
@@ -311,10 +311,10 @@ def test_wav_data_chunk_one_byte_short_is_corrupt(tmp_path):
 
 @pytest.mark.parametrize("bit_depth", [16, "f32"])
 def test_wav_round_trip_over_several_blocks(tmp_path, bit_depth):
-    # Lengths around the I/O block size, so a partial last block is read.
-    from diarkit.audio_io import _IO_BLOCK
+    # Lengths around the write block size, so a partial last block is written.
+    from diarkit.audio_io import _WRITE_BLOCK
 
-    for n in (_IO_BLOCK - 1, _IO_BLOCK, 3 * _IO_BLOCK + 17):
+    for n in (_WRITE_BLOCK - 1, _WRITE_BLOCK, 3 * _WRITE_BLOCK + 17):
         buf = random_buffer(n=n, seed=n)
         p = tmp_path / f"b{n}.wav"
         write_wav(p, buf, bit_depth)
@@ -327,11 +327,11 @@ def test_wav_round_trip_over_several_blocks(tmp_path, bit_depth):
 
 
 def test_pcm16_bytes_equal_the_whole_buffer_conversion(tmp_path):
-    from diarkit.audio_io import _IO_BLOCK
+    from diarkit.audio_io import _WRITE_BLOCK
 
     rng = np.random.default_rng(9)
     edge = np.array([1.0, -1.0, 1.5, -2.0, 0.99999, -1.00001, 0.5 / 32768, -0.5 / 32768, 0.0])
-    cases = [edge, rng.uniform(-1, 1, 4000), rng.uniform(-1.5, 1.5, 2 * _IO_BLOCK + 3)]
+    cases = [edge, rng.uniform(-1, 1, 4000), rng.uniform(-1.5, 1.5, 2 * _WRITE_BLOCK + 3)]
     for i, x in enumerate(cases):
         buf = AudioBuffer(x.astype(np.float32), 16000)
         p = tmp_path / f"c{i}.wav"
