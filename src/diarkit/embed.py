@@ -121,9 +121,8 @@ def _buffer_features(
     cepstra, d1, d2 = (feats[:, i * n_coeffs : (i + 1) * n_coeffs] for i in range(3))
     # The windowed frames and power spectra are reused: freed and allocated
     # anew, the allocator hands them back to the OS and faults them in again.
-    rows = min(len(starts), _BLOCK_FRAMES)
-    windowed = np.empty((rows, frame))
-    power = np.empty((rows, nfft // 2 + 1))
+    windowed = np.empty((min(len(starts), _BLOCK_FRAMES), frame))
+    power = np.empty((len(windowed), nfft // 2 + 1))
     for lo, hi in _frame_blocks(len(starts)):
         first, end = int(starts[lo]), int(starts[hi - 1]) + frame
         start = max(first - 1, 0)

@@ -1,8 +1,10 @@
 """Voice activity detection and fixed-window segmentation.
 
 Speech is detected by frame energy relative to the buffer's own noise
-floor, so the decision is unaffected by overall gain. Detected regions
-are then cut into overlapping fixed-length windows for embedding.
+floor, so the decision is unaffected by overall gain; frames are centred
+in float64 a block at a time, with no float64 copy of the buffer.
+Detected regions are then cut into overlapping fixed-length windows for
+embedding.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ _ZERO_DB = -1e12
 # same size however long the buffer is.
 _BLOCK_FRAMES = 1024
 
-# The buffer mean is summed in float64 leaves of at most this many samples.
-_SUM_LEAF = 1 << 16
+_SUM_LEAF = 1 << 16  # samples per float64 leaf of the buffer-mean sum
 
 
 @dataclass(frozen=True)
