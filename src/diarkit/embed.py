@@ -74,15 +74,21 @@ def _mel_filterbank(n_mels: int, nfft: int, rate: int) -> np.ndarray:
 
 
 def _deltas(c: np.ndarray, *, out: np.ndarray, n: int = 2) -> np.ndarray:
-    """Regression deltas over frames with edge padding, written into ``out``."""
-    padded = np.pad(c, ((n, n), (0, 0)), mode="edge")
-    out[...] = 0.0
-    term = np.empty_like(c)
-    for k in range(1, n + 1):
-        np.subtract(padded[n + k : len(padded) - n + k], padded[n - k : len(padded) - n - k], out=term)
-        term *= k
-        out += term
-    out /= 2.0 * sum(k * k for k in range(1, n + 1))
+    """Regression deltas over frames with edge padding, written into ``out``.
+
+    Rows are read a block at a time through indices clamped to the first
+    and last frame, so no padded copy of ``c`` is made.
+    """
+    m = len(c)
+    term = np.empty((min(m, _BLOCK_FRAMES), c.shape[1]))
+    for lo, hi in _frame_blocks(m):
+        rows, o, t = np.arange(lo, hi), out[lo:hi], term[: hi - lo]
+        o[...] = 0.0
+        for k in range(1, n + 1):
+            np.subtract(c[np.minimum(rows + k, m - 1)], c[np.maximum(rows - k, 0)], out=t)
+            t *= k
+            o += t
+        o /= 2.0 * sum(k * k for k in range(1, n + 1))
     return out
 
 
@@ -98,9 +104,10 @@ def _buffer_features(
     """Cepstra + deltas for every full frame of the buffer.
 
     Frames are read in blocks: each block is pre-emphasised from the
-    float32 samples plus one sample of history, then windowed and
-    transformed to cepstral rows of the preallocated feature matrix. Mean
-    subtraction and deltas work in place on its column slices.
+    float32 samples plus one sample of history, then windowed into the
+    leading columns of a reused zero-padded FFT input and transformed to
+    cepstral rows of the preallocated feature matrix. Mean subtraction and
+    deltas work in place on its column slices.
 
     The cepstral mean is taken over the whole buffer, so features of a
     segment depend on the recording it came from but not on where the
@@ -119,10 +126,11 @@ def _buffer_features(
     fb_t = _mel_filterbank(n_mels, nfft, rate).T
     feats = np.empty((len(starts), 3 * n_coeffs))
     cepstra, d1, d2 = (feats[:, i * n_coeffs : (i + 1) * n_coeffs] for i in range(3))
-    # The windowed frames and power spectra are reused: freed and allocated
-    # anew, the allocator hands them back to the OS and faults them in again.
-    windowed = np.empty((min(len(starts), _BLOCK_FRAMES), frame))
-    power = np.empty((len(windowed), nfft // 2 + 1))
+    # The zero-padded FFT input and the power spectra are reused: freed and
+    # allocated anew, the allocator hands them back to the OS and faults
+    # them in again. Columns past ``frame`` stay zero.
+    padded = np.zeros((min(len(starts), _BLOCK_FRAMES), nfft))
+    power = np.empty((len(padded), nfft // 2 + 1))
     for lo, hi in _frame_blocks(len(starts)):
         first, end = int(starts[lo]), int(starts[hi - 1]) + frame
         start = max(first - 1, 0)
@@ -130,12 +138,13 @@ def _buffer_features(
         x[1:] -= _PRE_EMPHASIS * x[:-1]  # x[0] is history, or sample 0 as it is
         frames = sliding_window_view(x[first - start :], frame)[::hop]
         n = hi - lo
-        np.multiply(frames, window, out=windowed[:n])
-        spectrum = np.fft.rfft(windowed[:n], n=nfft, axis=1)
+        np.multiply(frames, window, out=padded[:n, :frame])
+        spectrum = np.fft.rfft(padded[:n], axis=1)
         np.square(np.abs(spectrum, out=power[:n]), out=power[:n])
-        logmel = np.log(np.maximum(power[:n] @ fb_t, _LOG_FLOOR))
+        logmel = power[:n] @ fb_t  # one call per block: BLAS paths differ by size
+        np.log(np.maximum(logmel, _LOG_FLOOR, out=logmel), out=logmel)
         cepstra[lo:hi] = dct(logmel, type=2, norm="ortho", axis=1)[:, 1 : n_coeffs + 1]
-    del windowed, spectrum, power
+    del padded, spectrum, power
     cepstra -= np.mean(cepstra, axis=0, keepdims=True)
     _deltas(cepstra, out=d1)
     _deltas(d1, out=d2)
@@ -195,14 +204,7 @@ def mfcc_features(
     return feats[_segment_rows(buf, segment, starts, frame_ms)]
 
 
-def pool_embedding(features: np.ndarray, base_dims: int = 26) -> Embedding:
-    """Mean and standard deviation over frames of the leading dims.
-
-    Keeping ``base_dims`` of the per-frame features and stacking mean
-    with std gives the fixed 2 * base_dims vector (52 by default).
-
-    Raises TooFewFrames on fewer than 2 frames.
-    """
+def _pooled_vector(features: np.ndarray, base_dims: int) -> np.ndarray:
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] < 2:
         raise TooFewFrames("pooling needs a matrix of at least 2 frames")
@@ -211,8 +213,18 @@ def pool_embedding(features: np.ndarray, base_dims: int = 26) -> Embedding:
             f"features have {f.shape[1]} dims, pooling needs {base_dims}"
         )
     kept = f[:, :base_dims]
-    vec = np.concatenate([np.mean(kept, axis=0), np.std(kept, axis=0)])
-    return Embedding(vector=vec)
+    return np.concatenate([np.mean(kept, axis=0), np.std(kept, axis=0)])
+
+
+def pool_embedding(features: np.ndarray, base_dims: int = 26) -> Embedding:
+    """Mean and standard deviation over frames of the leading dims.
+
+    Keeping ``base_dims`` of the per-frame features and stacking mean
+    with std gives the fixed 2 * base_dims vector (52 by default).
+
+    Raises TooFewFrames on fewer than 2 frames.
+    """
+    return Embedding(vector=_pooled_vector(features, base_dims))
 
 
 class MfccEmbedder:
@@ -259,8 +271,7 @@ class MfccEmbedder:
     def embed(self, buf: AudioBuffer, segment: Segment) -> Embedding:
         starts, feats = self._features_for(buf)
         rows = _segment_rows(buf, segment, starts, self.frame_ms)
-        pooled = pool_embedding(feats[rows], base_dims=self.base_dims)
-        return Embedding(vector=pooled.vector, segment_ref=segment)
+        return Embedding(_pooled_vector(feats[rows], self.base_dims), segment_ref=segment)
 
 
 _HEADER = struct.Struct("<II")

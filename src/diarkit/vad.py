@@ -1,10 +1,11 @@
 """Voice activity detection and fixed-window segmentation.
 
 Speech is detected by frame energy relative to the buffer's own noise
-floor, so the decision is unaffected by overall gain; frames are centred
-in float64 a block at a time, with no float64 copy of the buffer.
-Detected regions are then cut into overlapping fixed-length windows for
-embedding.
+floor, so the decision is unaffected by overall gain. Samples are centred
+and squared in float64 a block at a time, each sample once, with no
+float64 copy of the buffer; speech frames become regions through integer
+array operations. Detected regions are then cut into overlapping
+fixed-length windows for embedding.
 """
 
 from __future__ import annotations
@@ -99,14 +100,20 @@ def _pairwise_sum(x: np.ndarray, lo: int, hi: int) -> float:
 def _frame_energies(x: np.ndarray, frame: int, hop: int, *, mean: float = 0.0) -> np.ndarray:
     """Sum of squares of every full frame of ``x - mean``.
 
-    Frames are read and centred in float64 in blocks of a strided view of
-    ``x``, so the only temporary is one block, whatever the buffer length.
+    Each block of frames centres and squares the samples it covers once,
+    in float64, into one reused block buffer, and sums every frame from a
+    strided view of those squares. Each frame's sum runs over the same
+    values in the same order as a sum over a copy of that frame.
     """
-    frames = sliding_window_view(x, frame)[::hop]
-    energy = np.empty(len(frames))
-    for lo, hi in _frame_blocks(len(frames)):
-        blk = np.subtract(frames[lo:hi], mean, dtype=np.float64)
-        energy[lo:hi] = np.sum(np.square(blk, out=blk), axis=1)
+    n_frames = 1 + (len(x) - frame) // hop
+    energy = np.empty(n_frames)
+    block = np.empty((min(n_frames, _BLOCK_FRAMES) - 1) * hop + frame)
+    for lo, hi in _frame_blocks(n_frames):
+        a, b = lo * hop, (hi - 1) * hop + frame
+        sq = block[: b - a]
+        np.subtract(x[a:b], mean, out=sq, dtype=np.float64)
+        np.square(sq, out=sq)
+        energy[lo:hi] = np.sum(sliding_window_view(sq, frame)[::hop], axis=1)
     return energy
 
 
@@ -120,15 +127,38 @@ def _spectral_flatness(x: np.ndarray, frame: int, hop: int, *, mean: float = 0.0
     frames = sliding_window_view(x, frame)[::hop]
     w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame) / frame)
     total = np.zeros(frame // 2 + 1)
+    windowed = np.empty((min(len(frames), _BLOCK_FRAMES), frame))
+    spec = np.empty((len(windowed), len(total)))
     for lo, hi in _frame_blocks(len(frames)):
-        blk = np.subtract(frames[lo:hi], mean, dtype=np.float64)
-        total += np.sum(np.abs(np.fft.rfft(blk * w, axis=1)) ** 2, axis=0)
+        blk, pw = windowed[: hi - lo], spec[: hi - lo]
+        np.subtract(frames[lo:hi], mean, out=blk, dtype=np.float64)
+        blk *= w
+        np.square(np.abs(np.fft.rfft(blk, axis=1), out=pw), out=pw)
+        total += np.sum(pw, axis=0)
     power = total[1:] / len(frames)  # DC excluded; it was removed anyway
     peak = float(np.max(power))
     if peak <= 0.0:
         return 1.0
     p = power / peak + 1e-12
     return float(np.exp(np.mean(np.log(p))) / np.mean(p))
+
+
+def _speech_runs(speech: np.ndarray, frame: int, hop: int, hangover: float) -> np.ndarray:
+    """``(n, 2)`` [onset, offset) samples of the runs of speech frames.
+
+    Frame i spans ``[i * hop, i * hop + frame)``. Overlapping or touching
+    speech frames form one run, and runs are joined across gaps shorter
+    than ``hangover`` samples. Frame ends rise with i, so a run ends where
+    its last frame does, and one comparison per frame finds every break.
+    """
+    on = np.flatnonzero(speech) * hop
+    if len(on) == 0:
+        return np.zeros((0, 2), dtype=np.int64)
+    off = on + frame
+    gap = on[1:] - off[:-1]
+    joined = (gap <= 0) | (gap < hangover)  # overlap, or a gap the hangover closes
+    first = np.flatnonzero(~joined) + 1
+    return np.stack([on[np.r_[0, first]], off[np.r_[first - 1, len(on) - 1]]], axis=1)
 
 
 def energy_vad(
@@ -182,29 +212,11 @@ def energy_vad(
         return []
 
     speech = db >= floor + threshold_db
-
-    # Contiguous speech frame runs, as [onset, offset) sample intervals.
     rate = buf.sample_rate_hz
-    runs: list[list[int]] = []
-    for i in np.flatnonzero(speech):
-        on = int(i) * hop
-        off = int(i) * hop + frame
-        if runs and on <= runs[-1][1]:
-            runs[-1][1] = max(runs[-1][1], off)
-        else:
-            runs.append([on, off])
-
-    hangover = hangover_ms / 1000.0 * rate
-    merged: list[list[int]] = []
-    for on, off in runs:
-        if merged and on - merged[-1][1] < hangover:
-            merged[-1][1] = max(merged[-1][1], off)
-        else:
-            merged.append([on, off])
-
+    runs = _speech_runs(speech, frame, hop, hangover_ms / 1000.0 * rate)
     return [
         SpeechRegion(on / rate, off / rate)
-        for on, off in merged
+        for on, off in runs.tolist()
         if (off - on) / rate >= MIN_REGION_S
     ]
 

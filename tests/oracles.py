@@ -301,6 +301,27 @@ def spectral_flatness_oracle(x: np.ndarray, frame: int, hop: int) -> float:
     return float(np.exp(np.mean(np.log(p))) / np.mean(p))
 
 
+def speech_runs_oracle(speech, frame: int, hop: int, hangover: float):
+    """[onset, offset) sample spans of the speech frames, from a loop over
+    every speech frame: touching or overlapping frames form a run, then
+    runs are merged across gaps shorter than ``hangover`` samples."""
+    runs = []
+    for i in np.flatnonzero(speech):
+        on = int(i) * hop
+        off = int(i) * hop + frame
+        if runs and on <= runs[-1][1]:
+            runs[-1][1] = max(runs[-1][1], off)
+        else:
+            runs.append([on, off])
+    merged = []
+    for on, off in runs:
+        if merged and on - merged[-1][1] < hangover:
+            merged[-1][1] = max(merged[-1][1], off)
+        else:
+            merged.append([on, off])
+    return merged
+
+
 def energy_vad_oracle(buf, frame_ms=30.0, hop_ms=10.0, threshold_db=6.0, hangover_ms=200.0):
     """Speech regions from a full float64 copy of the buffer, centred on
     ``np.mean`` of that copy and framed by the fancy-index oracles above.

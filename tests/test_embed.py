@@ -175,6 +175,16 @@ def test_two_voices_separate():
     assert np.mean(within) < np.mean(between)
 
 
+def test_embedder_returns_the_pooled_vector_with_its_segment():
+    buf = tone(300.0, 3.0)
+    seg = _seg(0.5, 2.0, idx=4)
+    got = MfccEmbedder().embed(buf, seg)
+    want = Embedding(vector=pool_embedding(mfcc_features(buf, seg)).vector, segment_ref=seg)
+    assert np.array_equal(got.vector, want.vector)
+    assert got.vector.dtype == np.float64
+    assert got.segment_ref is seg
+
+
 def test_embedding_validation():
     with pytest.raises(ValueError):
         Embedding(vector=np.array([1.0, np.nan]))

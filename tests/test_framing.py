@@ -9,21 +9,24 @@ import pytest
 
 from diarkit.audio_io import AudioBuffer, read_wav, write_wav
 from diarkit.corpus import generate_mixture
-from diarkit.embed import _buffer_features
+from diarkit.embed import _buffer_features, _deltas
 from diarkit.vad import (
     _BLOCK_FRAMES,
     _frame_energies,
     _pairwise_sum,
     _spectral_flatness,
+    _speech_runs,
     energy_vad,
 )
 
 from conftest import tone
 from oracles import (
+    _deltas_oracle,
     buffer_features_oracle,
     energy_vad_oracle,
     frame_energies_oracle,
     spectral_flatness_oracle,
+    speech_runs_oracle,
 )
 
 RATES = (8000, 16000, 44100, 48000)
@@ -182,3 +185,63 @@ def test_stage_memory_stays_within_fixed_blocks_of_the_buffer(tmp_path):
     assert _traced_peak(_buffer_features, buf, 40, 13, 25.0, 10.0) <= 0.8 * f64
     path = tmp_path / "long.wav"
     assert _traced_peak(write_wav, path, buf) <= 0.5 * f64
+
+
+# ---- Each sample centred and squared once; runs without a frame loop ----
+
+# (frame, hop): the 30/10 ms grid at 16 and 8 kHz, a frame that is not a
+# multiple of the hop, and a hop longer than the frame.
+OFF_GRID = ((480, 160), (240, 80), (200, 80), (160, 200))
+
+
+@pytest.mark.parametrize("frame, hop", OFF_GRID)
+def test_frame_energies_equal_the_oracle_off_the_usual_grid(frame, hop):
+    rng = np.random.default_rng(frame + hop)
+    counts = [1, 2, _BLOCK_FRAMES - 1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1, 2 * _BLOCK_FRAMES + 1]
+    for n_frames in counts:
+        for extra in (0, hop - 1):
+            n = (n_frames - 1) * hop + frame + extra
+            x = (rng.standard_normal(n) * rng.uniform(0.01, 1.0) + 0.2).astype(np.float32)
+            mean = float(np.mean(x.astype(np.float64)))
+            want = frame_energies_oracle(x.astype(np.float64) - mean, frame, hop)
+            got = _frame_energies(x, frame, hop, mean=mean)
+            assert len(got) == n_frames and np.array_equal(got, want), (n_frames, extra)
+
+
+def test_speech_runs_equal_the_per_frame_loop():
+    rng = np.random.default_rng(8)
+    for frame, hop in OFF_GRID:
+        for _ in range(500):
+            speech = rng.random(int(rng.integers(0, 2001))) < rng.uniform(0.05, 0.95)
+            k = int(rng.integers(1, 30))
+            hangovers = [0.0, k * hop - 1.0, float(k * hop), k * hop + 1.0]
+            # Gaps between runs are multiples of the hop less the frame.
+            hangovers += [float(k * hop - frame)] if k * hop > frame else []
+            for hangover in hangovers:
+                got = _speech_runs(speech, frame, hop, hangover).tolist()
+                assert got == speech_runs_oracle(speech, frame, hop, hangover)
+
+
+def test_speech_runs_of_a_mask_without_speech_are_empty():
+    assert _speech_runs(np.zeros(50, dtype=bool), 480, 160, 3200.0).shape == (0, 2)
+    assert _speech_runs(np.zeros(0, dtype=bool), 480, 160, 3200.0).shape == (0, 2)
+
+
+def test_deltas_equal_the_padded_copy_oracle():
+    rng = np.random.default_rng(9)
+    for m in [1, 2, 3, 4, 5, 6, _BLOCK_FRAMES - 1, _BLOCK_FRAMES, _BLOCK_FRAMES + 1, 2 * _BLOCK_FRAMES + 1]:
+        feats = rng.standard_normal((m, 39))
+        c, d1, d2 = feats[:, :13], feats[:, 13:26], feats[:, 26:]
+        assert _deltas(c, out=d1) is d1
+        _deltas(d1, out=d2)
+        want1 = _deltas_oracle(c)
+        assert np.array_equal(d1, want1), m
+        assert np.array_equal(d2, _deltas_oracle(want1)), m
+
+
+def test_deltas_make_no_full_size_temporary():
+    # A padded copy and a full-size term were each one column slice's size.
+    m = 100_000
+    feats = np.random.default_rng(10).standard_normal((m, 39))
+    c, d1 = feats[:, :13], feats[:, 13:26]
+    assert _traced_peak(lambda: _deltas(c, out=d1)) <= 0.1 * 8 * c.size
