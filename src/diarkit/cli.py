@@ -67,9 +67,6 @@ class PipelineConfig:
     noise_percentile: float = 0.2
     gate_threshold_db: float = 6.0
     attenuation_db: float = 20.0
-    collar_s: float = 0.0
-    seed: int = 0
-    augment: dict = field(default_factory=dict)
     train: dict = field(default_factory=dict)
 
     _SECTIONS = {
@@ -109,14 +106,7 @@ class PipelineConfig:
             raise ValueError("cluster_threshold must be >= 0")
         if self.num_speakers is not None and self.num_speakers < 1:
             raise ValueError("num_speakers must be >= 1")
-        if self.collar_s < 0:
-            raise ValueError("collar_s must be >= 0")
-        DenoiseParams(
-            noise_percentile=self.noise_percentile,
-            gate_threshold_db=self.gate_threshold_db,
-            attenuation_db=self.attenuation_db,
-        )
-        AugmentSpec(**self.augment)
+        self.denoise_params()
         TrainConfig(**self.train)
         self.embedder()  # constructor performs the embed-stage checks
 
@@ -131,7 +121,7 @@ class PipelineConfig:
                     if sub not in cls._SECTIONS[key]:
                         raise ValueError(f"unknown config key {key}.{sub}")
                     kwargs[cls._SECTIONS[key][sub]] = subval
-            elif key in ("collar_s", "seed", "augment", "train"):
+            elif key == "train":
                 kwargs[key] = value
             else:
                 raise ValueError(f"unknown config key {key!r}")
@@ -159,8 +149,18 @@ class PipelineConfig:
         )
 
 
-def _prepare(buf: AudioBuffer, cfg: PipelineConfig, file_id: str):
-    """(denoise) -> VAD -> segment: the buffer to embed, and its segments."""
+def embed_segments(
+    buf: AudioBuffer,
+    cfg: PipelineConfig,
+    file_id: str,
+    external_embeddings: dict[int, Embedding] | None = None,
+) -> tuple[list[Segment], list[Embedding]]:
+    """(denoise) -> VAD -> segment -> embed: the front end every command shares.
+
+    ``external_embeddings`` replaces the MFCC embedder with vectors
+    keyed by segment index (the embedding-file layout); it must hold
+    exactly one vector per segment.
+    """
     if cfg.denoise:
         buf = spectral_gate_denoise(buf, cfg.denoise_params())
     regions = energy_vad(
@@ -170,9 +170,32 @@ def _prepare(buf: AudioBuffer, cfg: PipelineConfig, file_id: str):
         threshold_db=cfg.vad_threshold_db,
         hangover_ms=cfg.vad_hangover_ms,
     )
-    return buf, uniform_segment(
+    segments = uniform_segment(
         regions, window_s=cfg.window_s, hop_s=cfg.segment_hop_s, file_id=file_id
     )
+    if external_embeddings is None:
+        embedder = cfg.embedder()  # its cache frames the buffer once
+        return segments, [embedder.embed(buf, s) for s in segments]
+    if sorted(external_embeddings) != [s.index for s in segments]:
+        rows = len(external_embeddings)
+        raise ValueError(f"embedding file holds {rows} rows for {len(segments)} segments")
+    return segments, [external_embeddings[s.index] for s in segments]
+
+
+@dataclass(frozen=True)
+class DiarizationResult:
+    """One buffer's turns, segments, labels and the vectors clustered.
+
+    Unpacks as ``turns, segments, labels``.
+    """
+
+    turns: list[Turn]
+    segments: list[Segment]
+    labels: list[int]
+    embeddings: list[Embedding]
+
+    def __iter__(self):
+        return iter((self.turns, self.segments, self.labels))
 
 
 def diarize_buffer(
@@ -180,36 +203,18 @@ def diarize_buffer(
     config: PipelineConfig | None = None,
     file_id: str = "file",
     external_embeddings: dict[int, Embedding] | None = None,
-    embedder: MfccEmbedder | None = None,
-) -> tuple[list[Turn], list[Segment], list[int]]:
-    """VAD -> segment -> embed -> cluster -> turns for one buffer.
-
-    ``external_embeddings`` replaces the MFCC embedder with vectors
-    keyed by segment index (the embedding-file layout); it must hold
-    exactly one vector per segment.
-    """
+) -> DiarizationResult:
+    """embed_segments -> cluster -> turns for one buffer."""
     cfg = config or PipelineConfig()
-    buf, segments = _prepare(buf, cfg, file_id)
-    want = [s.index for s in segments]
-    if external_embeddings is not None and sorted(external_embeddings) != want:
-        rows = len(external_embeddings)
-        raise ValueError(f"embedding file holds {rows} rows for {len(want)} segments")
+    segments, embs = embed_segments(buf, cfg, file_id, external_embeddings)
     if not segments:
-        return [], [], []
-
-    if external_embeddings is not None:
-        embs = [external_embeddings[s.index] for s in segments]
-    else:
-        emb = embedder or cfg.embedder()
-        embs = [emb.embed(buf, s) for s in segments]
-
+        return DiarizationResult([], [], [], [])
     if cfg.num_speakers is not None:
         stop = {"k": min(cfg.num_speakers, len(segments))}
     else:
         stop = {"threshold": cfg.cluster_threshold}
-    result = agglomerative_cluster(embs, stop)
-    turns = labels_to_turns(segments, list(result.labels), file_id)
-    return turns, segments, list(result.labels)
+    labels = list(agglomerative_cluster(embs, stop).labels)
+    return DiarizationResult(labels_to_turns(segments, labels, file_id), segments, labels, embs)
 
 
 def _env_seed(flag_value: int | None) -> int:
@@ -261,25 +266,14 @@ def cmd_corpus(args) -> int:
     return EXIT_OK
 
 
-def _diarize_one(wav_path: Path, cfg: PipelineConfig, args) -> tuple[str, str, list]:
+def _diarize_one(
+    wav_path: Path, cfg: PipelineConfig, embeddings_path: str | None = None
+) -> tuple[str, DiarizationResult]:
+    """read -> diarize_buffer -> RTTM text, for one WAV."""
     buf = read_wav(wav_path)
-    file_id = wav_path.stem
-    external = None
-    if getattr(args, "embeddings", None):
-        external = load_external_embeddings(args.embeddings)
-    if cfg.denoise:
-        # Denoised here, not in diarize_buffer, so the exported vectors
-        # describe the buffer that was segmented and clustered.
-        buf = spectral_gate_denoise(buf, cfg.denoise_params())
-        cfg = replace(cfg, denoise=False)
-    embedder = cfg.embedder()  # its cache frames the buffer once
-    turns, segments, _ = diarize_buffer(
-        buf, cfg, file_id=file_id, external_embeddings=external, embedder=embedder
-    )
-    embs = []
-    if getattr(args, "export_embeddings", None):
-        embs = [embedder.embed(buf, s) for s in segments]
-    return file_id, emit_rttm(turns), embs
+    external = load_external_embeddings(embeddings_path) if embeddings_path else None
+    result = diarize_buffer(buf, cfg, file_id=wav_path.stem, external_embeddings=external)
+    return emit_rttm(result.turns), result
 
 
 def cmd_diarize(args) -> int:
@@ -303,11 +297,11 @@ def cmd_diarize(args) -> int:
         root = in_path.parent
 
         def work(entry):
+            fid = Path(entry.path).stem
             try:
-                fid, rttm, _ = _diarize_one(root / entry.path, cfg, args)
-                return entry.path, fid, rttm, None
+                return entry.path, fid, _diarize_one(root / entry.path, cfg)[0], None
             except Exception as exc:  # collected, reported, non-fatal
-                return entry.path, Path(entry.path).stem, None, exc
+                return entry.path, fid, None, exc
 
         with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
             results = list(pool.map(work, manifest.entries))
@@ -322,9 +316,9 @@ def cmd_diarize(args) -> int:
             print(f"failed {path}: {exc}", file=sys.stderr)
         return EXIT_VALIDATION if failures else EXIT_OK
 
-    fid, rttm, embs = _diarize_one(in_path, cfg, args)
+    rttm, result = _diarize_one(in_path, cfg, args.embeddings)
     if args.export_embeddings:
-        write_embeddings(args.export_embeddings, embs)
+        write_embeddings(args.export_embeddings, result.embeddings)
     if args.out_rttm:
         Path(args.out_rttm).write_text(rttm, encoding="utf-8")
         print(f"wrote {args.out_rttm}")
@@ -536,9 +530,7 @@ def cmd_train_toy(args) -> int:
 
 def cmd_export_embeddings(args) -> int:
     cfg = _load_config(args.config)
-    buf, segments = _prepare(read_wav(args.input), cfg, Path(args.input).stem)
-    embedder = cfg.embedder()
-    embs = [embedder.embed(buf, s) for s in segments]
+    _, embs = embed_segments(read_wav(args.input), cfg, Path(args.input).stem)
     write_embeddings(args.output, embs)
     print(f"wrote {len(embs)} embeddings to {args.output}")
     return EXIT_OK

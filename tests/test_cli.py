@@ -1,5 +1,6 @@
 """Command-line surface: exit codes, file outputs, and printed reports."""
 
+import importlib.util
 import json
 import os
 import re
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import diarkit
+import diarkit.cli
 import diarkit.embed
 from diarkit.audio_io import Turn, emit_rttm, parse_rttm, read_wav, write_wav
 from diarkit.augment import add_noise
@@ -23,10 +25,12 @@ from diarkit.cli import (
     EXIT_VALIDATION,
     PipelineConfig,
     _training_arrays,
+    diarize_buffer,
+    embed_segments,
     main,
 )
 from diarkit.corpus import CorpusManifest, generate_mixture
-from diarkit.embed import load_external_embeddings, mfcc_features, write_embeddings
+from diarkit.embed import MfccEmbedder, load_external_embeddings, mfcc_features, write_embeddings
 from diarkit.vad import Segment
 
 
@@ -411,14 +415,16 @@ def test_config_sections_map_onto_pipeline_fields():
             "segment": {"window_s": 2.0, "hop_s": 1.0},
             "cluster": {"threshold": 0.3},
             "denoise": {"enabled": True},
-            "collar_s": 0.25,
         }
     )
     assert cfg.vad_threshold_db == 9.0
     assert cfg.window_s == 2.0
     assert cfg.cluster_threshold == 0.3
     assert cfg.denoise is True
-    assert cfg.collar_s == 0.25
+    # evaluate takes --collar and augment its flags; no command reads these.
+    for key, value in (("collar_s", 0.25), ("seed", 3), ("augment", {})):
+        with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+            PipelineConfig.from_dict({key: value})
     with pytest.raises(ValueError):
         PipelineConfig.from_dict({"vad": {"bogus": 1}})
     with pytest.raises(ValueError):
@@ -543,6 +549,78 @@ def test_diarize_exports_the_vectors_it_clustered_with_denoise(tmp_path, monkeyp
     assert main(argv + ["--export-embeddings", str(exported)]) == EXIT_OK
     assert exported.read_bytes() == standalone.read_bytes()
     assert len(calls) == 1
+
+
+def test_diarize_exports_each_segment_embedded_once(mixture_wav, tmp_path, monkeypatch, capsys):
+    # Plain diarize --export-embeddings writes export-embeddings' bytes
+    # from the vectors it clustered: one embed call per segment.
+    standalone = tmp_path / "standalone.bin"
+    assert main(["export-embeddings", str(mixture_wav), str(standalone)]) == EXIT_OK
+
+    framed, embedded = [], []
+    framing, embed = diarkit.embed._buffer_features, MfccEmbedder.embed
+    monkeypatch.setattr(
+        diarkit.embed, "_buffer_features", lambda *a: framed.append(1) or framing(*a)
+    )
+    monkeypatch.setattr(
+        MfccEmbedder,
+        "embed",
+        lambda self, buf, seg: embedded.append(seg.index) or embed(self, buf, seg),
+    )
+    exported = tmp_path / "exported.bin"
+    argv = ["diarize", str(mixture_wav), "--num-speakers", "2"]
+    assert main(argv + ["--export-embeddings", str(exported)]) == EXIT_OK
+    assert exported.read_bytes() == standalone.read_bytes()
+    assert len(framed) == 1
+    assert embedded == list(range(len(load_external_embeddings(exported))))
+
+
+def test_cli_and_library_share_one_path(tmp_path, capsys):
+    mix, _ = generate_mixture(3, 40.0, seed=0)
+    wav = tmp_path / "noisy.wav"
+    write_wav(wav, add_noise(mix, 0.3, "white", seed=1))
+    assert main(["diarize", str(wav), "--denoise", "--num-speakers", "3"]) == EXIT_OK
+    cfg = PipelineConfig(denoise=True, num_speakers=3)
+    result = diarize_buffer(read_wav(wav), cfg, file_id="noisy")
+    assert capsys.readouterr().out == emit_rttm(result.turns)
+    segments, embs = embed_segments(read_wav(wav), cfg, "noisy")
+    assert result.segments == segments
+    assert len(result.embeddings) == len(embs) > 0
+    for got, want in zip(result.embeddings, embs):
+        assert np.array_equal(got.vector, want.vector)
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    """The bench's Tracer, installed for one test and taken out after it."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for name, mod in list(sys.modules.items()):
+        if mod is not None and (name == "diarkit" or name.startswith("diarkit.")):
+            for key, value in list(vars(mod).items()):
+                if callable(value):
+                    monkeypatch.setattr(mod, key, value)  # restored at teardown
+    monkeypatch.setattr(MfccEmbedder, "embed", MfccEmbedder.embed)
+    found = module.Tracer()
+    found.install()
+    return module, found
+
+
+def test_bench_tracer_finds_every_target_and_times_diarize_buffer(tracer, mixture_wav, capsys):
+    # A refactor that renames or inlines a traced function would leave a
+    # per-layer bench metric silently at zero.
+    module, found = tracer
+    assert found.absent == []
+    assert diarkit.cli.main(["diarize", str(mixture_wav), "--num-speakers", "2"]) == EXIT_OK
+    names = [span[0] for span in found.spans]
+    assert names.count("cli.diarize_buffer") == 1
+    assert names.count("cli.main") == 1
+    metrics = module.layer_metrics(found.spans, [])
+    assert metrics["cli.diarize_buffer.s"][0] > 0
+    assert metrics["embed.embed.calls"][0] == metrics["vad.segments"][0] > 0
+    assert found.info_errors == {}
 
 
 # --- python -m diarkit ---
