@@ -98,14 +98,20 @@ def synth_utterance(profile: SpeakerProfile, duration_s: float, seed: int) -> Au
         raise TooShort(f"utterance needs >= 0.5 s, got {duration_s}")
     rng = np.random.default_rng(np.random.SeedSequence([profile.seed, abs(int(seed))]))
     n = int(round(duration_s * RATE))
-    t = np.arange(n) / RATE
 
-    # Slow +-3% wander of the fundamental.
+    # Slow +-3% wander of the fundamental. The f0 track and its phase are
+    # built in one array, in the order f0 * (1 + 0.03 * wander) and
+    # 2 * pi * cumsum / RATE would compute them.
     n_ctrl = max(int(math.ceil(duration_s * 25.0)) + 2, 4)
     ctrl = np.clip(rng.normal(scale=0.5, size=n_ctrl), -1.0, 1.0)
     ctrl_t = np.linspace(0.0, duration_s, n_ctrl)
-    f0_track = profile.f0_hz * (1.0 + 0.03 * np.interp(t, ctrl_t, ctrl))
-    phase = 2.0 * np.pi * np.cumsum(f0_track) / RATE
+    phase = np.interp(np.arange(n) / RATE, ctrl_t, ctrl)
+    phase *= 0.03
+    phase += 1.0
+    phase *= profile.f0_hz
+    np.cumsum(phase, out=phase)
+    phase *= 2.0 * np.pi
+    phase /= RATE
 
     n_harm = max(1, int(MAX_HARMONIC_HZ / profile.f0_hz))
     k = np.arange(1, n_harm + 1)
@@ -132,15 +138,31 @@ def synth_utterance(profile: SpeakerProfile, duration_s: float, seed: int) -> Au
             np.multiply(cur, rot[i], out=rotated)
             np.multiply(amps[i], rotated.imag, out=term_b)
             voiced_b += term_b
+    del phase, complex_bufs, term, base, cur, rotated, term_b
     voiced /= max(np.sqrt(np.mean(voiced**2)), 1e-12)
 
-    # Syllabic amplitude modulation with inter-syllable dips.
+    # Syllabic amplitude modulation with inter-syllable dips, in place;
+    # IEEE + and * commute, so each sample equals the textbook
+    # 0.25 + 0.75 * (0.5 + 0.5 * sin(2 pi rate t + phase)) ** 1.5.
     syl_rate = rng.uniform(3.0, 5.0)
     am_phase = rng.uniform(0.0, 2.0 * np.pi)
-    env = 0.5 + 0.5 * np.sin(2.0 * np.pi * syl_rate * t + am_phase)
-    env = 0.25 + 0.75 * env**1.5
+    env = np.arange(n) / RATE
+    env *= 2.0 * np.pi * syl_rate
+    env += am_phase
+    np.sin(env, out=env)
+    env *= 0.5
+    env += 0.5
+    env **= 1.5
+    env *= 0.75
+    env += 0.25
 
-    x = (voiced + 0.04 * rng.standard_normal(n)) * env
+    # (voiced + 0.04 * noise) * env
+    x = rng.standard_normal(n)
+    x *= 0.04
+    x += voiced
+    del voiced
+    x *= env
+    del env
     x *= 0.1 / max(np.sqrt(np.mean(x**2)), 1e-12)
     return AudioBuffer(samples=x.astype(np.float32), sample_rate_hz=RATE)
 

@@ -33,6 +33,8 @@ from diarkit.corpus import CorpusManifest, generate_mixture
 from diarkit.embed import MfccEmbedder, load_external_embeddings, mfcc_features, write_embeddings
 from diarkit.vad import Segment
 
+from oracles import spectral_gate_denoise_oracle
+
 
 @pytest.fixture(scope="module")
 def corpus_dir(tmp_path_factory):
@@ -588,6 +590,20 @@ def test_cli_and_library_share_one_path(tmp_path, capsys):
     assert len(result.embeddings) == len(embs) > 0
     for got, want in zip(result.embeddings, embs):
         assert np.array_equal(got.vector, want.vector)
+
+
+def test_diarize_denoise_prints_the_oracle_denoisers_rttm(tmp_path, monkeypatch, capsys):
+    # The block denoiser and the full-length oracle give the same RTTM.
+    mix, _ = generate_mixture(3, 40.0, seed=0)
+    wav = tmp_path / "noisy.wav"
+    write_wav(wav, add_noise(mix, 0.3, "white", seed=1))
+    argv = ["diarize", str(wav), "--denoise", "--num-speakers", "3"]
+    assert main(argv) == EXIT_OK
+    blocked = capsys.readouterr().out
+    monkeypatch.setattr(diarkit.cli, "spectral_gate_denoise", spectral_gate_denoise_oracle)
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out == blocked
+    assert blocked
 
 
 @pytest.fixture
