@@ -146,10 +146,7 @@ def synth_utterance(profile: SpeakerProfile, duration_s: float, seed: int) -> Au
     # 0.25 + 0.75 * (0.5 + 0.5 * sin(2 pi rate t + phase)) ** 1.5.
     syl_rate = rng.uniform(3.0, 5.0)
     am_phase = rng.uniform(0.0, 2.0 * np.pi)
-    env = np.arange(n) / RATE
-    env *= 2.0 * np.pi * syl_rate
-    env += am_phase
-    np.sin(env, out=env)
+    env = np.sin(np.arange(n) / RATE * (2.0 * np.pi * syl_rate) + am_phase)
     env *= 0.5
     env += 0.5
     env **= 1.5
@@ -160,9 +157,8 @@ def synth_utterance(profile: SpeakerProfile, duration_s: float, seed: int) -> Au
     x = rng.standard_normal(n)
     x *= 0.04
     x += voiced
-    del voiced
     x *= env
-    del env
+    del voiced, env
     x *= 0.1 / max(np.sqrt(np.mean(x**2)), 1e-12)
     return AudioBuffer(samples=x.astype(np.float32), sample_rate_hz=RATE)
 

@@ -100,16 +100,6 @@ def estimate_snr_db(noisy: AudioBuffer, clean_ref: AudioBuffer) -> float:
     return snr_db(clean_ref, residual)
 
 
-def _windowed_frames(x: np.ndarray, k0: int, k1: int, p: DenoiseParams, window: np.ndarray):
-    """Frames k0..k1-1 of ``x`` padded by one frame of zeros, windowed, in float64."""
-    lo = k0 * p.hop - p.frame_len
-    seg = np.zeros((k1 - k0 - 1) * p.hop + p.frame_len)
-    a, b = max(lo, 0), min(lo + len(seg), len(x))
-    if a < b:
-        seg[a - lo : b - lo] = x[a:b]
-    return sliding_window_view(seg, p.frame_len)[:: p.hop] * window
-
-
 def _running_sums(ext: np.ndarray, size: int, carry: np.ndarray | None = None) -> np.ndarray:
     """Window sums of scipy's ``uniform_filter1d(mode="nearest")`` along
     axis 0 for a block of rows, bit for bit. With h = size // 2, scipy
@@ -147,7 +137,13 @@ def spectral_gate_denoise(buf: AudioBuffer, params: DenoiseParams | None = None)
     n_bins = p.frame_len // 2 + 1
 
     def spectra(k0, k1):
-        return np.fft.rfft(_windowed_frames(x, k0, k1, p, window), axis=1)
+        # frames k0..k1-1, cut from the float64 segment of the padded signal they span
+        lo = k0 * p.hop - p.frame_len
+        seg = np.zeros((k1 - k0 - 1) * p.hop + p.frame_len)
+        a, b = max(lo, 0), min(lo + len(seg), len(x))
+        if a < b:
+            seg[a - lo : b - lo] = x[a:b]
+        return np.fft.rfft(sliding_window_view(seg, p.frame_len)[:: p.hop] * window, axis=1)
 
     def blocks():
         for a in range(0, n_frames, _BLOCK_FRAMES):

