@@ -1,17 +1,12 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
 from diarkit.audio_io import AudioBuffer
-from diarkit.augment import add_noise
-from diarkit.corpus import generate_mixture
 from diarkit.errors import LengthMismatch, SilentInput, TooShort
 from diarkit.preprocess import (
-    _BLOCK_FRAMES,
     DenoiseParams,
-    _running_sums,
     estimate_snr_db,
     rms,
     rms_normalize,
@@ -19,8 +14,7 @@ from diarkit.preprocess import (
     spectral_gate_denoise,
 )
 
-from conftest import tone, white
-from oracles import spectral_gate_denoise_oracle
+from conftest import tone
 
 RATE = 16000
 
@@ -197,95 +191,3 @@ def test_denoise_params_validated():
         DenoiseParams(noise_percentile=0.0)
     with pytest.raises(ValueError):
         DenoiseParams(attenuation_db=-3.0)
-
-
-def test_denoise_params_need_overlapping_frames():
-    # The periodic Hann window is 0 at sample 0: without overlap the
-    # window-square sum is 0 at every frame start and the output NaN.
-    with pytest.raises(ValueError, match="less than frame_len"):
-        DenoiseParams(frame_len=300, hop=300)
-    p = DenoiseParams(frame_len=300, hop=299)
-    out = spectral_gate_denoise(white(1.0, seed=4), p)
-    assert np.all(np.isfinite(out.samples))
-
-
-# ---- spectral_gate_denoise in blocks equals the full-length oracle ----
-
-
-def _frames_to_samples(n_frames, p=DenoiseParams()):
-    # Both lengths give n_frames = ceil((len(x) + frame_len) / hop) + 1.
-    # The last frame starts at the end of the samples in the first and
-    # past it in the second.
-    n = (n_frames - 1) * p.hop - p.frame_len
-    return [n, n - p.hop + 1]
-
-
-def _assert_matches_oracle(buf, params=None):
-    got = spectral_gate_denoise(buf, params).samples
-    want = spectral_gate_denoise_oracle(buf, params).samples
-    assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize(
-    "n",
-    [512, 513, 700, 1024, 5000, 65536, 300_000]
-    + [n for k in (_BLOCK_FRAMES - 1, _BLOCK_FRAMES + 1, 2 * _BLOCK_FRAMES + 1)
-       for n in _frames_to_samples(k)],
-)
-def test_denoise_white_noise_equals_oracle(n):
-    rng = np.random.default_rng(n)
-    _assert_matches_oracle(AudioBuffer(0.05 * rng.standard_normal(n), RATE))
-
-
-def test_denoise_noisy_mixture_equals_oracle():
-    mix, _ = generate_mixture(4, 40.0, seed=2)
-    _assert_matches_oracle(add_noise(mix, 0.3, "white", seed=1))
-
-
-@pytest.mark.parametrize(
-    "params",
-    [
-        None,
-        DenoiseParams(frame_len=400, hop=160),
-        DenoiseParams(frame_len=512, hop=200),
-        DenoiseParams(frame_len=300, hop=299),
-        DenoiseParams(noise_percentile=1.0),
-    ],
-)
-def test_denoise_tone_and_noise_equal_oracle_for_params(params):
-    _assert_matches_oracle(tone(440.0, 3.0, amp=0.5), params)
-    _assert_matches_oracle(white(2.0, seed=3), params)
-
-
-@pytest.mark.parametrize("size", [3, 5])
-def test_running_sums_in_blocks_equal_scipys_uniform_filter(size):
-    # The denoiser's output is float32, which hides last-bit float64
-    # changes; the moving averages are checked in float64 here.
-    from scipy.ndimage import uniform_filter1d
-
-    rng = np.random.default_rng(size)
-    e = np.abs(rng.standard_normal((1000, 7))) * 10.0 ** rng.uniform(-6, 6, (1000, 7))
-    want = uniform_filter1d(e, size, axis=0, mode="nearest")
-    h = size // 2
-    edges = [0, 1, 2, 9, 10, 300, 301, 999, 1000]
-    carry, got = None, []
-    for a, b in zip(edges, edges[1:]):
-        rows = np.clip(np.arange(a - h - 1, b + size - 1 - h), 0, len(e) - 1)
-        sums = _running_sums(e[rows], size, carry)
-        carry = sums[-1]
-        got.append(sums / size)
-    assert np.array_equal(np.concatenate(got), want)
-
-
-def test_denoise_memory_does_not_grow_with_the_recording():
-    # 300 s: the float32 output, one energy per frame and one bool per
-    # frame and bin grow with the input; everything else is per block.
-    buf = white(300.0, seed=5)
-    spectral_gate_denoise(white(1.0))  # warm numpy's FFT plan caches
-    tracemalloc.start()
-    try:
-        spectral_gate_denoise(buf)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * 8 * len(buf)
