@@ -1,9 +1,12 @@
 """Average-linkage agglomerative clustering over segment embeddings.
 
-scipy's average linkage builds the merge tree over cosine distances;
-a small adapter reads it back as the greedy merge sequence. Each merge
-takes the pair of clusters with the smallest average pairwise cosine
-distance; ties fall to the pair whose member segments come first.
+Each pair's cosine distance, 1 - cos capped at 2, is computed alone as
+half the squared distance between the unit vectors, so bitwise copies
+read exactly 0. The distances stay in scipy's condensed ``pdist`` layout,
+with no n x n matrix. scipy's average linkage builds the merge tree over
+them; a small adapter reads it back as the greedy merge sequence. Each
+merge takes the pair of clusters with the smallest average distance;
+ties fall to the pair whose member segments come first.
 """
 
 from __future__ import annotations
@@ -39,19 +42,15 @@ def _vec(x) -> np.ndarray:
 def cosine_distance(a, b) -> float:
     """1 minus the cosine of the angle between two vectors, in [0, 2].
 
+    Computed as half the squared distance between the unit vectors, the
+    same per-pair value clustering uses, so copies read exactly 0.
     Raises ZeroVector on a zero input and DimMismatch on unequal dims.
     """
-    va, vb = _vec(a), _vec(b)
-    if va.shape != vb.shape:
-        raise DimMismatch(f"dims differ: {va.shape[0]} vs {vb.shape[0]}")
-    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVector("cosine distance is undefined for zero vectors")
-    d = 1.0 - float(np.dot(va, vb) / (na * nb))
-    return float(min(2.0, max(0.0, d)))
+    return float(_pairwise([a, b])[0])
 
 
 def _pairwise(embs) -> np.ndarray:
+    """Cosine distances of every pair i < j, in scipy's condensed layout."""
     vectors = [_vec(e) for e in embs]
     dims = {v.shape for v in vectors}
     if len(dims) > 1 or any(v.ndim != 1 for v in vectors):
@@ -60,9 +59,10 @@ def _pairwise(embs) -> np.ndarray:
     norms = np.linalg.norm(matrix, axis=1)
     if np.any(norms == 0.0):
         raise ZeroVector("embeddings must be nonzero for cosine distances")
-    unit = matrix / norms[:, None]
-    d = unit @ unit.T
-    return np.clip(np.subtract(1.0, d, out=d), 0.0, 2.0, out=d)
+    from scipy.spatial.distance import pdist  # on first use, like linkage
+    # |u - v|^2 = 2 - 2 cos for unit u, v; bitwise-equal rows give 0.
+    d = pdist(matrix / norms[:, None], "sqeuclidean")
+    return np.minimum(np.multiply(d, 0.5, out=d), 2.0, out=d)
 
 
 def agglomerative_cluster(embs, stop) -> ClusterResult:
@@ -89,16 +89,13 @@ def agglomerative_cluster(embs, stop) -> ClusterResult:
         if k > n:
             raise KTooLarge(f"k={k} exceeds {n} embeddings")
 
-    pair = _pairwise(embs)
+    condensed = _pairwise(embs)
     if n == 1:  # scipy's linkage needs two observations
         return ClusterResult(labels=(0,), merge_trace=())
     # Imported on first use: scipy.cluster adds ~0.2 s to the start-up
     # of every command, and most commands never cluster.
     from scipy.cluster.hierarchy import linkage
-    from scipy.spatial.distance import squareform
 
-    condensed = squareform(pair, checks=False)  # scipy's pdist layout
-    del pair
     trace = _greedy_trace(linkage(condensed, "average"), n)
     trace = trace[: n - k] if k is not None else [m for m in trace if m[2] <= threshold]
 

@@ -126,8 +126,10 @@ def spectral_gate_denoise(buf: AudioBuffer, params: DenoiseParams | None = None)
     """Attenuate time-frequency cells below a per-bin percentile noise floor."""
     p = params or DenoiseParams()
     x = buf.samples
-    if len(x) < p.frame_len:
-        raise TooShort(f"need at least {p.frame_len} samples, got {len(x)}")
+    # Frame n_cols is the first inside the samples, which the noise floor needs.
+    n_cols = -(-p.frame_len // p.hop)
+    if len(x) < n_cols * p.hop:
+        raise TooShort(f"need at least {n_cols * p.hop} samples, got {len(x)}")
 
     # Pad one frame on each side so the overlap-add window sum is constant
     # over the original extent, then frame on the hop grid. Frame k starts
@@ -159,7 +161,7 @@ def spectral_gate_denoise(buf: AudioBuffer, params: DenoiseParams | None = None)
     # percentile misestimates the floor in speech-bearing bins and
     # self-masks stationary tones. Padding-only frames are excluded from
     # the estimate.
-    interior = np.arange(-(-p.frame_len // p.hop), len(x) // p.hop + 1)
+    interior = np.arange(n_cols, len(x) // p.hop + 1)
     frame_energy = np.empty(len(interior))
     for i in range(0, len(interior), _BLOCK_FRAMES):
         k = interior[i : i + _BLOCK_FRAMES]
@@ -204,7 +206,6 @@ def spectral_gate_denoise(buf: AudioBuffer, params: DenoiseParams | None = None)
     # column of the frames at a time. The window-square sum repeats with
     # period hop inside the padding and is built the same way.
     att = 10.0 ** (-p.attenuation_db / 20.0)
-    n_cols = -(-p.frame_len // p.hop)
     cols = [(c, c * p.hop, min(p.hop, p.frame_len - c * p.hop)) for c in reversed(range(n_cols))]
     wsum = np.zeros(p.hop)
     for _, c0, width in cols:

@@ -91,6 +91,20 @@ def eer_dense_oracle(genuine, impostor, n_points=10_000):
     return float((far[j] + frr[j]) / 2.0)
 
 
+def cosine_pairs_oracle(vectors):
+    """n x n cosine distances, each pair computed alone in a loop.
+
+    1 - cos is taken as half the squared distance of the unit vectors,
+    capped at 2, so copies of one vector read exactly 0.
+    """
+    matrix = np.stack([np.asarray(v, dtype=np.float64) for v in vectors])
+    unit = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+    pair = np.zeros((len(unit), len(unit)))
+    for i, j in itertools.combinations(range(len(unit)), 2):
+        pair[i, j] = pair[j, i] = min(2.0, 0.5 * np.sum((unit[i] - unit[j]) ** 2))
+    return pair
+
+
 def average_linkage_oracle(vectors, threshold=None, k=None):
     """Average-linkage merges by direct recomputation over raw pairs.
 
@@ -98,11 +112,9 @@ def average_linkage_oracle(vectors, threshold=None, k=None):
     trace rows (first index of a, first index of b, distance), labels
     numbered by each final cluster's first member.
     """
-    matrix = np.stack([np.asarray(v, dtype=np.float64) for v in vectors])
-    unit = matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
-    pair = np.clip(1.0 - unit @ unit.T, 0.0, 2.0)
+    pair = cosine_pairs_oracle(vectors)
 
-    clusters = [frozenset([i]) for i in range(len(matrix))]
+    clusters = [frozenset([i]) for i in range(len(pair))]
     trace = []
     while len(clusters) > 1:
         if k is not None and len(clusters) <= k:
@@ -124,7 +136,7 @@ def average_linkage_oracle(vectors, threshold=None, k=None):
         trace.append((lo, hi, d))
 
     order = sorted(clusters, key=min)
-    labels = [0] * len(matrix)
+    labels = [0] * len(pair)
     for label, members in enumerate(order):
         for i in members:
             labels[i] = label

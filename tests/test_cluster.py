@@ -20,7 +20,7 @@ from diarkit.errors import (
 )
 from diarkit.vad import Segment
 
-from oracles import average_linkage_oracle
+from oracles import average_linkage_oracle, cosine_pairs_oracle
 
 
 def _embs(matrix):
@@ -36,7 +36,7 @@ def _partition(labels):
 
 def test_cosine_identity_antipodal_orthogonal():
     a = np.array([1.0, 2.0, 3.0])
-    assert cosine_distance(a, a) == pytest.approx(0.0, abs=1e-12)
+    assert cosine_distance(a, a) == 0.0
     assert cosine_distance(a, -a) == pytest.approx(2.0, abs=1e-12)
     assert cosine_distance([1.0, 0.0], [0.0, 5.0]) == pytest.approx(1.0)
 
@@ -227,14 +227,7 @@ def test_every_segment_covered_by_its_turn():
         )
 
 
-def _old_condensed(matrix):
-    """Distances as the whole-matrix formula with triu_indices gave them."""
-    unit = matrix / np.linalg.norm(matrix, axis=1)[:, None]
-    pair = np.clip(1.0 - unit @ unit.T, 0.0, 2.0)
-    return pair[np.triu_indices(len(matrix), k=1)]
-
-
-def test_condensed_distances_equal_the_whole_matrix_formula(monkeypatch):
+def test_condensed_distances_are_per_pair_and_copies_read_zero(monkeypatch):
     import scipy.cluster.hierarchy as hierarchy
 
     seen = []
@@ -252,10 +245,15 @@ def test_condensed_distances_equal_the_whole_matrix_formula(monkeypatch):
         if case % 2:  # duplicate-heavy
             pts = pts[rng.integers(0, max(1, n // 4), size=n)]
         agglomerative_cluster(_embs(pts), {"k": 1})
-        assert np.array_equal(seen[-1], _old_condensed(pts)), case
+        got = seen[-1]
+        i, j = np.triu_indices(n, k=1)
+        want = cosine_pairs_oracle(pts)[i, j]
+        assert np.allclose(got, want, rtol=0.0, atol=1e-15), case
+        copies = np.all(pts[i] == pts[j], axis=1)
+        assert np.all(got[copies] == 0.0), case
 
 
-def test_clustering_memory_stays_within_two_distance_matrices():
+def test_clustering_memory_stays_within_one_distance_matrix():
     import tracemalloc
 
     n = 3000
@@ -266,4 +264,4 @@ def test_clustering_memory_stays_within_two_distance_matrices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2 * 8 * n * n
+    assert peak <= 8 * n * n

@@ -182,6 +182,11 @@ def test_denoise_monotone_non_harm():
 def test_denoise_too_short():
     with pytest.raises(TooShort):
         spectral_gate_denoise(AudioBuffer(np.zeros(100, dtype=np.float32), RATE))
+    # 450 >= frame_len, but no frame lies inside the samples before 480
+    with pytest.raises(TooShort):
+        spectral_gate_denoise(
+            AudioBuffer(np.zeros(450, dtype=np.float32), RATE), DenoiseParams(400, 160)
+        )
 
 
 def test_denoise_params_validated():
