@@ -104,47 +104,60 @@ class Turn:
 def read_wav(path: str | os.PathLike) -> AudioBuffer:
     """Read a mono RIFF/WAVE file (PCM16 or float32) into an AudioBuffer.
 
+    The chunk headers are walked with seeks, because ``fmt`` may follow
+    ``data``. The samples are then decoded into the float32 output through
+    one reused block of ``_WRITE_BLOCK`` samples, so beside the output the
+    reader never holds more than that block of the file.
+
     Raises FileNotFoundError, CorruptHeader, or UnsupportedFormat.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < 12 or data[0:4] != b"RIFF":
-        raise CorruptHeader(f"{path}: not a RIFF file")
-    if data[8:12] != b"WAVE":
-        raise CorruptHeader(f"{path}: RIFF without WAVE form type")
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if len(head) < 12 or head[0:4] != b"RIFF":
+            raise CorruptHeader(f"{path}: not a RIFF file")
+        if head[8:12] != b"WAVE":
+            raise CorruptHeader(f"{path}: RIFF without WAVE form type")
 
-    fmt = None
-    payload = None
-    pos = 12
-    view = memoryview(data)  # chunk bodies are slices of it, not copies
-    while pos + 8 <= len(data):
-        chunk_id = data[pos : pos + 4]
-        (chunk_size,) = struct.unpack_from("<I", data, pos + 4)
-        body = view[pos + 8 : pos + 8 + chunk_size]
-        if chunk_id == b"fmt ":
-            if len(body) < 16:
-                raise CorruptHeader(f"{path}: fmt chunk too small")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
-        elif chunk_id == b"data":
-            if len(body) < chunk_size:
+        fmt = None
+        data = None  # (offset, size) of the data chunk's body
+        pos = 12
+        while pos + 8 <= size:
+            fh.seek(pos)
+            chunk_id, chunk_size = struct.unpack("<4sI", fh.read(8))
+            if chunk_id == b"fmt ":
+                body = fh.read(min(chunk_size, 16))
+                if len(body) < 16:
+                    raise CorruptHeader(f"{path}: fmt chunk too small")
+                fmt = struct.unpack("<HHIIHH", body)
+            elif chunk_id == b"data":
+                if pos + 8 + chunk_size > size:
+                    raise CorruptHeader(f"{path}: data chunk truncated")
+                data = (pos + 8, chunk_size)
+            pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
+
+        if fmt is None or data is None:
+            raise CorruptHeader(f"{path}: missing fmt or data chunk")
+        audio_format, channels, rate, _byte_rate, _block_align, bits = fmt
+        if channels != 1:
+            raise UnsupportedFormat(f"{path}: {channels} channels, expected mono")
+        if (audio_format, bits) not in ((_FMT_PCM, 16), (_FMT_IEEE_FLOAT, 32)):
+            raise UnsupportedFormat(
+                f"{path}: codec {audio_format} at {bits} bits not supported"
+            )
+        offset, n_bytes = data
+        if n_bytes % (bits // 8):
+            raise CorruptHeader(f"{path}: data chunk ends inside a sample")
+        samples = np.empty(n_bytes // (bits // 8), dtype=np.float32)
+        block = np.empty(min(len(samples), _WRITE_BLOCK), dtype="<i2" if bits == 16 else "<f4")
+        fh.seek(offset)
+        for lo in range(0, len(samples), _WRITE_BLOCK):
+            part = block[: len(samples) - lo]
+            if fh.readinto(part) != part.nbytes:
                 raise CorruptHeader(f"{path}: data chunk truncated")
-            payload = body
-        pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
-
-    if fmt is None or payload is None:
-        raise CorruptHeader(f"{path}: missing fmt or data chunk")
-    audio_format, channels, rate, _byte_rate, _block_align, bits = fmt
-    if channels != 1:
-        raise UnsupportedFormat(f"{path}: {channels} channels, expected mono")
-    if (audio_format, bits) == (_FMT_PCM, 16):
-        samples = np.frombuffer(payload, dtype="<i2").astype(np.float32)
+            samples[lo : lo + len(part)] = part
+    if bits == 16:
         samples /= 32768.0
-    elif (audio_format, bits) == (_FMT_IEEE_FLOAT, 32):
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float32)
-    else:
-        raise UnsupportedFormat(
-            f"{path}: codec {audio_format} at {bits} bits not supported"
-        )
     return AudioBuffer(samples, rate)
 
 

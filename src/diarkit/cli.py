@@ -460,9 +460,9 @@ def cmd_snr(args) -> int:
 def _training_arrays(manifest: CorpusManifest, root: Path, cfg: PipelineConfig, max_files: int):
     """Frame features, labels, and per-turn sequences from train files.
 
-    Each file is framed once; every turn takes its rows from that table.
+    Each file is framed once; every turn builds its rows from those cepstra.
     """
-    from .embed import _buffer_features, _segment_rows
+    from .embed import _buffer_features, _feature_rows, _segment_rows
 
     speakers = sorted(
         {s for e in manifest.entries if e.split == "train" for s in e.speaker_ids}
@@ -479,7 +479,7 @@ def _training_arrays(manifest: CorpusManifest, root: Path, cfg: PipelineConfig, 
         used += 1
         buf = read_wav(root / entry.path)
         turns = parse_rttm((root / entry.rttm_path).read_text(encoding="utf-8"))
-        starts, table = _buffer_features(
+        starts, cepstra = _buffer_features(
             buf, cfg.n_mels, cfg.n_coeffs, cfg.mfcc_frame_ms, cfg.mfcc_hop_ms
         )
         for turn in turns:
@@ -489,7 +489,7 @@ def _training_arrays(manifest: CorpusManifest, root: Path, cfg: PipelineConfig, 
                 offset_s=min(turn.offset_s, len(buf) / buf.sample_rate_hz),
                 index=len(seqs),
             )
-            rows = table[_segment_rows(buf, seg, starts, cfg.mfcc_frame_ms)]
+            rows = _feature_rows(cepstra, *_segment_rows(buf, seg, starts, cfg.mfcc_frame_ms))
             label = class_of[turn.speaker_id]
             feats.append(rows)
             labels.extend([label] * len(rows))

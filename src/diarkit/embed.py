@@ -5,6 +5,12 @@ statistics. Dropping the zeroth cepstrum and subtracting the cepstral
 mean make the vectors insensitive to overall gain, so clustering can
 only ever see spectral shape, not loudness.
 
+A recording is framed once into a table of centred cepstra, one row per
+frame. Deltas are a regression over the cepstra two frames either side,
+so a segment's delta and delta-delta rows are rebuilt from the cepstral
+rows around it when it is pooled; no table holds them for the whole
+recording.
+
 Externally computed vectors (any dimension) enter through a small binary
 matrix format documented at ``write_embeddings``.
 """
@@ -34,6 +40,10 @@ from .vad import _BLOCK_FRAMES, Segment, _frame_blocks
 _PRE_EMPHASIS = 0.97
 _MIN_NFFT = 512
 _LOG_FLOOR = 1e-30
+# MFCC frames per block. Past one block every block holds at least half
+# this many rows, far above the few rows at which BLAS changes path.
+_MFCC_BLOCK = 512
+_DELTA_SPAN = 2  # a delta regresses over this many frames either side
 
 
 @dataclass(frozen=True)
@@ -73,23 +83,53 @@ def _mel_filterbank(n_mels: int, nfft: int, rate: int) -> np.ndarray:
     return np.maximum(0.0, np.minimum(rising, falling))
 
 
-def _deltas(c: np.ndarray, *, out: np.ndarray, n: int = 2) -> np.ndarray:
-    """Regression deltas over frames with edge padding, written into ``out``.
+def _deltas(
+    c: np.ndarray, *, out: np.ndarray, lo: int = 0, hi: int | None = None
+) -> np.ndarray:
+    """Rows [lo, hi) of the regression deltas of ``c``, written into ``out``.
 
-    Rows are read a block at a time through indices clamped to the first
-    and last frame, so no padded copy of ``c`` is made.
+    Frames past either end of ``c`` repeat its first or last row (edge
+    padding). Rows are read a block at a time through indices clamped to
+    the first and last frame, so no padded copy of ``c`` is made. Each row
+    is computed alone, so a row range equals those rows of the whole table.
     """
     m = len(c)
-    term = np.empty((min(m, _BLOCK_FRAMES), c.shape[1]))
-    for lo, hi in _frame_blocks(m):
-        rows, o, t = np.arange(lo, hi), out[lo:hi], term[: hi - lo]
+    hi = m if hi is None else hi
+    term = np.empty((min(hi - lo, _BLOCK_FRAMES), c.shape[1]))
+    for a, b in _frame_blocks(hi - lo):
+        rows, o, t = np.arange(lo + a, lo + b), out[a:b], term[: b - a]
         o[...] = 0.0
-        for k in range(1, n + 1):
+        for k in range(1, _DELTA_SPAN + 1):
             np.subtract(c[np.minimum(rows + k, m - 1)], c[np.maximum(rows - k, 0)], out=t)
             t *= k
             o += t
-        o /= 2.0 * sum(k * k for k in range(1, n + 1))
+        o /= 2.0 * sum(k * k for k in range(1, _DELTA_SPAN + 1))
     return out
+
+
+def _feature_rows(
+    cepstra: np.ndarray, lo: int, hi: int, width: int | None = None
+) -> np.ndarray:
+    """Rows [lo, hi) of the feature table: cepstra, deltas, delta-deltas.
+
+    Only the leading ``width`` columns (all by default) are built: the
+    deltas only when ``width`` reaches past the cepstra, the delta-deltas
+    only when it reaches past the deltas. A delta-delta row reads the
+    deltas up to ``_DELTA_SPAN`` rows either side, so for them the deltas
+    are built over the range widened by that much, clamped to the table.
+    """
+    m, n = cepstra.shape
+    width = 3 * n if width is None else width
+    out = np.empty((hi - lo, 3 * n))
+    out[:, :n] = cepstra[lo:hi]
+    if width > 2 * n:
+        a, b = max(lo - _DELTA_SPAN, 0), min(hi + _DELTA_SPAN, m)
+        d1 = _deltas(cepstra, out=np.empty((b - a, n)), lo=a, hi=b)
+        out[:, n : 2 * n] = d1[lo - a : hi - a]
+        _deltas(d1, out=out[:, 2 * n :], lo=lo - a, hi=hi - a)
+    elif width > n:
+        _deltas(cepstra, out=out[:, n : 2 * n], lo=lo, hi=hi)
+    return out[:, :width]
 
 
 def _frame_starts(n_samples: int, frame: int, hop: int) -> np.ndarray:
@@ -101,13 +141,14 @@ def _frame_starts(n_samples: int, frame: int, hop: int) -> np.ndarray:
 def _buffer_features(
     buf: AudioBuffer, n_mels: int, n_coeffs: int, frame_ms: float, hop_ms: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Cepstra + deltas for every full frame of the buffer.
+    """Frame starts and centred cepstra, (n_frames, n_coeffs), of every
+    full frame of the buffer; ``_feature_rows`` adds the deltas.
 
-    Frames are read in blocks: each block is pre-emphasised from the
-    float32 samples plus one sample of history, then windowed into the
+    Frames are read in blocks of ``_MFCC_BLOCK``: each block is copied
+    from the float32 samples, with one sample of history, into a reused
+    float64 buffer and pre-emphasised there, then windowed into the
     leading columns of a reused zero-padded FFT input and transformed to
-    cepstral rows of the preallocated feature matrix. Mean subtraction and
-    deltas work in place on its column slices.
+    rows of the preallocated cepstra table.
 
     The cepstral mean is taken over the whole buffer, so features of a
     segment depend on the recording it came from but not on where the
@@ -118,43 +159,47 @@ def _buffer_features(
     hop = int(round(rate * hop_ms / 1000.0))
     starts = _frame_starts(len(buf), frame, hop)
     if len(starts) == 0:
-        return starts, np.zeros((0, 3 * n_coeffs))
+        return starts, np.zeros((0, n_coeffs))
 
     window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(frame) / (frame - 1))
     # Zero-pad to a power of two; a frame longer than _MIN_NFFT is never cropped.
     nfft = max(_MIN_NFFT, 1 << (frame - 1).bit_length())
     fb_t = _mel_filterbank(n_mels, nfft, rate).T
-    feats = np.empty((len(starts), 3 * n_coeffs))
-    cepstra, d1, d2 = (feats[:, i * n_coeffs : (i + 1) * n_coeffs] for i in range(3))
-    # The zero-padded FFT input and the power spectra are reused: freed and
-    # allocated anew, the allocator hands them back to the OS and faults
-    # them in again. Columns past ``frame`` stay zero.
-    padded = np.zeros((min(len(starts), _BLOCK_FRAMES), nfft))
+    cepstra = np.empty((len(starts), n_coeffs))
+    # The samples, their pre-emphasis product, the zero-padded FFT input
+    # and the power spectra are reused: freed and allocated anew, the
+    # allocator hands them back to the OS and faults them in again.
+    # Columns of ``padded`` past ``frame`` stay zero.
+    padded = np.zeros((min(len(starts), _MFCC_BLOCK), nfft))
     power = np.empty((len(padded), nfft // 2 + 1))
-    for lo, hi in _frame_blocks(len(starts)):
+    samples = np.empty((len(padded) - 1) * hop + frame + 1)
+    product = np.empty(len(samples) - 1)
+    for lo, hi in _frame_blocks(len(starts), _MFCC_BLOCK):
         first, end = int(starts[lo]), int(starts[hi - 1]) + frame
         start = max(first - 1, 0)
-        x = buf.samples[start:end].astype(np.float64)
-        x[1:] -= _PRE_EMPHASIS * x[:-1]  # x[0] is history, or sample 0 as it is
+        x = samples[: end - start]
+        x[...] = buf.samples[start:end]
+        p = np.multiply(x[:-1], _PRE_EMPHASIS, out=product[: len(x) - 1])
+        x[1:] -= p  # x[0] is history, or sample 0 as it is
         frames = sliding_window_view(x[first - start :], frame)[::hop]
         n = hi - lo
         np.multiply(frames, window, out=padded[:n, :frame])
+        # The spectrum is made per block (rfft takes out= only from numpy
+        # 2.0) and freed before the next block's.
         spectrum = np.fft.rfft(padded[:n], axis=1)
         np.square(np.abs(spectrum, out=power[:n]), out=power[:n])
+        del spectrum
         logmel = power[:n] @ fb_t  # one call per block: BLAS paths differ by size
         np.log(np.maximum(logmel, _LOG_FLOOR, out=logmel), out=logmel)
         cepstra[lo:hi] = dct(logmel, type=2, norm="ortho", axis=1)[:, 1 : n_coeffs + 1]
-    del padded, spectrum, power
     cepstra -= np.mean(cepstra, axis=0, keepdims=True)
-    _deltas(cepstra, out=d1)
-    _deltas(d1, out=d2)
-    return starts, feats
+    return starts, cepstra
 
 
 def _segment_rows(
     buf: AudioBuffer, segment: Segment, starts: np.ndarray, frame_ms: float
-) -> np.ndarray:
-    """Feature rows of the full frames inside ``segment``.
+) -> tuple[int, int]:
+    """Row range [lo, hi) of the full frames inside ``segment``.
 
     Raises TooShort when the buffer or the segment holds no full frame
     and SegmentOutOfRange when the segment ends past the buffer.
@@ -173,13 +218,12 @@ def _segment_rows(
     # the last start whose frame ends by off.
     lo = int(np.searchsorted(starts, on, side="left"))
     hi = int(np.searchsorted(starts, off - frame, side="right"))
-    rows = np.arange(lo, max(lo, hi))
-    if len(rows) == 0:
+    if hi <= lo:
         raise TooShort(
             f"segment [{segment.onset_s}, {segment.offset_s}] holds no full "
             "analysis frame"
         )
-    return rows
+    return lo, hi
 
 
 def mfcc_features(
@@ -200,8 +244,8 @@ def mfcc_features(
     """
     if n_mels < n_coeffs + 1:
         raise ValueError("n_mels must exceed n_coeffs")
-    starts, feats = _buffer_features(buf, n_mels, n_coeffs, frame_ms, hop_ms)
-    return feats[_segment_rows(buf, segment, starts, frame_ms)]
+    starts, cepstra = _buffer_features(buf, n_mels, n_coeffs, frame_ms, hop_ms)
+    return _feature_rows(cepstra, *_segment_rows(buf, segment, starts, frame_ms))
 
 
 def _pooled_vector(features: np.ndarray, base_dims: int) -> np.ndarray:
@@ -230,8 +274,12 @@ def pool_embedding(features: np.ndarray, base_dims: int = 26) -> Embedding:
 class MfccEmbedder:
     """Deterministic segment embedder over MFCC statistics.
 
-    Per-buffer feature matrices are cached (weakly keyed on the buffer
-    object), so embedding every segment of a recording frames it once.
+    Each buffer's frame starts and centred cepstra, (n_frames, n_coeffs),
+    are cached (weakly keyed on the buffer object), so embedding every
+    segment of a recording frames it once. A segment's delta rows, and its
+    delta-delta rows when ``base_dims`` reaches them, are rebuilt from the
+    cepstral rows around it, equal to the rows of the whole-recording
+    feature table.
     """
 
     def __init__(
@@ -269,9 +317,10 @@ class MfccEmbedder:
         return cached
 
     def embed(self, buf: AudioBuffer, segment: Segment) -> Embedding:
-        starts, feats = self._features_for(buf)
-        rows = _segment_rows(buf, segment, starts, self.frame_ms)
-        return Embedding(_pooled_vector(feats[rows], self.base_dims), segment_ref=segment)
+        starts, cepstra = self._features_for(buf)
+        lo, hi = _segment_rows(buf, segment, starts, self.frame_ms)
+        rows = _feature_rows(cepstra, lo, hi, self.base_dims)
+        return Embedding(_pooled_vector(rows, self.base_dims), segment_ref=segment)
 
 
 _HEADER = struct.Struct("<II")

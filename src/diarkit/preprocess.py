@@ -124,8 +124,15 @@ def _running_sums(ext: np.ndarray, size: int, carry: np.ndarray | None = None) -
 
 def spectral_gate_denoise(buf: AudioBuffer, params: DenoiseParams | None = None) -> AudioBuffer:
     """Attenuate time-frequency cells below a per-bin percentile noise floor."""
-    p = params or DenoiseParams()
-    x = buf.samples
+    out = np.empty(len(buf), dtype=np.float32)
+    _gate_into(buf.samples, params or DenoiseParams(), out)
+    return AudioBuffer(out, buf.sample_rate_hz)
+
+
+def _gate_into(x: np.ndarray, p: DenoiseParams, out: np.ndarray) -> None:
+    """The spectral gate of ``x``, overlap-added block by block into
+    ``out``: float32 in ``spectral_gate_denoise``, or float64 to read the
+    overlap-add sums before that cast."""
     # Frame n_cols is the first inside the samples, which the noise floor needs.
     n_cols = -(-p.frame_len // p.hop)
     if len(x) < n_cols * p.hop:
@@ -211,7 +218,6 @@ def spectral_gate_denoise(buf: AudioBuffer, params: DenoiseParams | None = None)
     for _, c0, width in cols:
         wsum[:width] += window[c0 : c0 + width] ** 2
     bins = np.clip(np.arange(-2, n_bins + 1), 0, n_bins - 1)
-    out = np.empty(len(x), dtype=np.float32)
     tail = np.zeros((n_cols - 1) * p.hop)
     carry = None
     for a, b in blocks():
@@ -234,4 +240,3 @@ def spectral_gate_denoise(buf: AudioBuffer, params: DenoiseParams | None = None)
         s0, s1 = max(lo, 0), min(b * p.hop - p.frame_len, len(x))
         if s0 < s1:
             out[s0:s1] = done[s0 - lo : s1 - lo]
-    return AudioBuffer(out, buf.sample_rate_hz)

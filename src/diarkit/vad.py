@@ -73,15 +73,15 @@ class Segment:
         return self.offset_s - self.onset_s
 
 
-def _frame_blocks(n_frames: int):
+def _frame_blocks(n_frames: int, block: int = _BLOCK_FRAMES):
     """Row ranges [lo, hi) splitting ``n_frames`` frames into equal blocks.
 
-    No block holds more than ``_BLOCK_FRAMES`` frames, and past one block
-    none holds fewer than half that: BLAS multiplies matrices of a few rows
+    No block holds more than ``block`` frames, and past one block none
+    holds fewer than half that: BLAS multiplies matrices of a few rows
     along a different path, which would change the last bits of the MFCC
     log-mel rows.
     """
-    count = -(-n_frames // _BLOCK_FRAMES)
+    count = -(-n_frames // block)
     for i in range(count):
         yield i * n_frames // count, (i + 1) * n_frames // count
 

@@ -441,9 +441,15 @@ def spectral_gate_denoise_oracle(buf, params=None):
     Only the gate rule is shared: the parameter type and errors come from
     ``diarkit``.
     """
+    from diarkit.audio_io import AudioBuffer
+
+    return AudioBuffer(spectral_gate_float64_oracle(buf, params), buf.sample_rate_hz)
+
+
+def spectral_gate_float64_oracle(buf, params=None):
+    """The float64 samples ``spectral_gate_denoise_oracle`` casts to float32."""
     from scipy.ndimage import uniform_filter
 
-    from diarkit.audio_io import AudioBuffer
     from diarkit.errors import TooShort
     from diarkit.preprocess import DenoiseParams
 
@@ -506,5 +512,4 @@ def spectral_gate_denoise_oracle(buf, params=None):
         s = k * p.hop
         y[s : s + p.frame_len] += rec[k]
         wsum[s : s + p.frame_len] += window**2
-    out = y[pad : pad + len(x)] / wsum[pad : pad + len(x)]
-    return AudioBuffer(out, buf.sample_rate_hz)
+    return y[pad : pad + len(x)] / wsum[pad : pad + len(x)]

@@ -309,6 +309,16 @@ def test_wav_data_chunk_one_byte_short_is_corrupt(tmp_path):
         read_wav(p)
 
 
+def test_wav_data_chunk_ending_inside_a_sample_is_corrupt(tmp_path):
+    p = tmp_path / "odd.wav"
+    p.write_bytes(_riff(_fmt(), (b"data", b"\1\0\2")))
+    with pytest.raises(CorruptHeader):
+        read_wav(p)
+    p.write_bytes(_riff(_fmt(code=3, bits=32), (b"data", b"\0" * 6)))
+    with pytest.raises(CorruptHeader):
+        read_wav(p)
+
+
 @pytest.mark.parametrize("bit_depth", [16, "f32"])
 def test_wav_round_trip_over_several_blocks(tmp_path, bit_depth):
     # Lengths around the write block size, so a partial last block is written.

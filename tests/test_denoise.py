@@ -9,10 +9,16 @@ import pytest
 from diarkit.audio_io import AudioBuffer
 from diarkit.augment import add_noise
 from diarkit.corpus import generate_mixture
-from diarkit.preprocess import _BLOCK_FRAMES, DenoiseParams, _running_sums, spectral_gate_denoise
+from diarkit.preprocess import (
+    _BLOCK_FRAMES,
+    DenoiseParams,
+    _gate_into,
+    _running_sums,
+    spectral_gate_denoise,
+)
 
 from conftest import tone, white
-from oracles import spectral_gate_denoise_oracle
+from oracles import spectral_gate_denoise_oracle, spectral_gate_float64_oracle
 
 RATE = 16000
 
@@ -70,6 +76,29 @@ def test_denoise_noisy_mixture_equals_oracle():
 def test_denoise_tone_and_noise_equal_oracle_for_params(params):
     _assert_matches_oracle(tone(440.0, 3.0, amp=0.5), params)
     _assert_matches_oracle(white(2.0, seed=3), params)
+
+
+def _assert_float64_matches_oracle(buf, params=None):
+    got = np.empty(len(buf))
+    _gate_into(buf.samples, params or DenoiseParams(), got)
+    assert np.array_equal(got, spectral_gate_float64_oracle(buf, params))
+
+
+def test_denoise_sums_equal_the_oracle_before_the_float32_cast():
+    # The float32 output hides last-bit float64 changes to the overlap-add
+    # order; the gate written into a float64 output shows them.
+    rng = np.random.default_rng(12)
+    lengths = [512, 700, 5000] + [
+        n for k in (_BLOCK_FRAMES - 1, _BLOCK_FRAMES + 1, 2 * _BLOCK_FRAMES + 1)
+        for n in _frames_to_samples(k)
+    ]
+    for n in lengths:
+        _assert_float64_matches_oracle(AudioBuffer(0.05 * rng.standard_normal(n), RATE))
+    mix, _ = generate_mixture(3, 20.0, seed=4)
+    _assert_float64_matches_oracle(add_noise(mix, 0.3, "white", seed=2))
+    for params in (DenoiseParams(frame_len=400, hop=160), DenoiseParams(frame_len=300, hop=299)):
+        _assert_float64_matches_oracle(tone(440.0, 3.0, amp=0.5), params)
+        _assert_float64_matches_oracle(white(2.0, seed=3), params)
 
 
 @pytest.mark.parametrize("size", [3, 5])

@@ -185,6 +185,29 @@ def test_embedder_returns_the_pooled_vector_with_its_segment():
     assert got.segment_ref is seg
 
 
+@pytest.mark.parametrize("base_dims", [13, 20, 26, 39])
+def test_embeddings_pool_the_whole_table_rows(base_dims):
+    # 40 s is 3,998 frames: four MFCC blocks and four delta blocks. The
+    # segments include the first and last frames, where the deltas read
+    # clamped rows, and ranges across block edges.
+    from oracles import buffer_features_oracle
+
+    rng = np.random.default_rng(base_dims)
+    buf = AudioBuffer((0.1 * rng.standard_normal(40 * RATE)).astype(np.float32), RATE)
+    _, table = buffer_features_oracle(buf, 40, 13, 25.0, 10.0)
+    edges = [(0.0, 1.5), (0.01, 0.06), (38.5, 40.0), (39.95, 40.0), (5.0, 5.12), (10.2, 10.28)]
+    edges += [tuple(sorted(rng.uniform(0.0, 40.0, 2))) for _ in range(20)]
+    embedder = MfccEmbedder(base_dims=base_dims)
+    for on, off in edges:
+        seg = _seg(on, off)
+        got = embedder.embed(buf, seg).vector
+        rows = mfcc_features(buf, seg)
+        assert np.array_equal(got, pool_embedding(rows, base_dims).vector), (on, off)
+        starts = np.arange(0, len(buf) - 400 + 1, 160)
+        inside = (starts >= round(on * RATE)) & (starts + 400 <= round(off * RATE))
+        assert np.array_equal(rows, table[inside]), (on, off)
+
+
 def test_embedding_validation():
     with pytest.raises(ValueError):
         Embedding(vector=np.array([1.0, np.nan]))

@@ -9,14 +9,22 @@ import pytest
 
 from diarkit.audio_io import AudioBuffer, read_wav, write_wav
 from diarkit.corpus import generate_mixture
-from diarkit.embed import _buffer_features, _deltas
+from diarkit.embed import (
+    _MFCC_BLOCK,
+    MfccEmbedder,
+    _buffer_features,
+    _deltas,
+    _feature_rows,
+)
 from diarkit.vad import (
     _BLOCK_FRAMES,
+    SpeechRegion,
     _frame_energies,
     _pairwise_sum,
     _spectral_flatness,
     _speech_runs,
     energy_vad,
+    uniform_segment,
 )
 
 from conftest import tone
@@ -64,12 +72,16 @@ def test_frame_energies_equal_the_fancy_index_oracle(rate):
 
 @pytest.mark.parametrize("rate", RATES)
 def test_buffer_features_equal_the_fancy_index_oracle(rate):
-    for i, n in enumerate(_lengths(rate, 25.0, 10.0)):
+    # Also 511, 512, 513 and 1,025 frames, around the MFCC block size.
+    frame, hop = _frame_hop(rate, 25.0, 10.0)
+    counts = (_MFCC_BLOCK - 1, _MFCC_BLOCK, _MFCC_BLOCK + 1, 2 * _MFCC_BLOCK + 1)
+    lengths = _lengths(rate, 25.0, 10.0) + [(k - 1) * hop + frame for k in counts]
+    for i, n in enumerate(lengths):
         buf = _signal(n, rate, seed=10 + i)
-        starts, feats = _buffer_features(buf, 40, 13, 25.0, 10.0)
+        starts, cepstra = _buffer_features(buf, 40, 13, 25.0, 10.0)
         want_starts, want = buffer_features_oracle(buf, 40, 13, 25.0, 10.0)
         assert np.array_equal(starts, want_starts), n
-        assert np.array_equal(feats, want), n
+        assert np.array_equal(_feature_rows(cepstra, 0, len(cepstra)), want), n
 
 
 def test_spectral_flatness_differs_from_the_oracle_only_by_rounding():
@@ -185,6 +197,26 @@ def test_stage_memory_stays_within_fixed_blocks_of_the_buffer(tmp_path):
     assert _traced_peak(_buffer_features, buf, 40, 13, 25.0, 10.0) <= 0.8 * f64
     path = tmp_path / "long.wav"
     assert _traced_peak(write_wav, path, buf) <= 0.5 * f64
+
+
+def test_embedding_a_long_recording_holds_only_its_cepstra():
+    # 300 s at 16 kHz, embedded in 1.5 s windows every 0.75 s: a table of
+    # 13 cepstra a frame is 0.08x the float64 buffer size; one that also
+    # held the deltas would be 0.24x.
+    rate = 16000
+    buf = _signal(300 * rate, rate, seed=8)
+    segments = uniform_segment([SpeechRegion(0.0, buf.duration_s)], file_id="f")
+    embedder = MfccEmbedder()
+    peak = _traced_peak(lambda: [embedder.embed(buf, s) for s in segments])
+    assert peak <= 0.4 * 8 * len(buf)
+
+
+def test_reading_a_long_pcm16_file_holds_only_its_samples(tmp_path):
+    # 300 s of PCM16: the float32 output is 19.2 MB, the file 9.6 MB.
+    rate = 16000
+    path = tmp_path / "long.wav"
+    write_wav(path, _signal(300 * rate, rate, seed=9))
+    assert _traced_peak(read_wav, path) <= 1.1 * 4 * 300 * rate
 
 
 # ---- Each sample centred and squared once; runs without a frame loop ----
