@@ -6,6 +6,7 @@ from .audio_io import (
     CANONICAL_RATE_HZ,
     AudioBuffer,
     Turn,
+    WavSource,
     emit_rttm,
     parse_rttm,
     read_wav,
@@ -64,6 +65,7 @@ __all__ = [
     "ToyModel",
     "TrainConfig",
     "Turn",
+    "WavSource",
     "add_noise",
     "agglomerative_cluster",
     "augment_file",

@@ -3,6 +3,10 @@
 WAV support is deliberately narrow: RIFF/WAVE, mono, PCM 16-bit or IEEE
 float32. Everything downstream assumes the canonical 16 kHz rate unless a
 caller resamples explicitly.
+
+The front end reads samples only through ``read(lo, hi)``, which both an
+in-memory AudioBuffer and an open WavSource provide, so a file can be
+diarized a block at a time without a copy of its samples in memory.
 """
 
 from __future__ import annotations
@@ -39,13 +43,20 @@ _SINC_HALF_WIDTH = 16
 _KAISER_BETA = 8.6
 _MAX_DENOMINATOR = 1000
 _GRID_STEPS = 4096
-# Outputs per chunk. Each of a chunk's two (chunk, taps) gathers is about
-# 300 KB at the 16 kHz ratios, small enough to reuse freed heap memory
-# instead of faulting in fresh mmap'd pages for every chunk. An output
-# depends only on its own row, so the chunk size does not change a sample.
+# Outputs per chunk off the fraction table. Each of a chunk's two
+# (chunk, taps) gathers is about 300 KB at the 16 kHz ratios, small enough
+# to reuse freed heap memory instead of faulting in fresh mmap'd pages for
+# every chunk. An output depends only on its own row, so the chunk size
+# does not change a sample.
 _CHUNK_OUT = 1024
-# Samples converted per block when writing PCM16 WAV data.
+# Samples converted per block when writing or reading WAV data.
 _WRITE_BLOCK = 1 << 16
+
+
+def _check_finite(samples: np.ndarray) -> None:
+    # NaN and +-inf propagate through min and max; no N-byte mask.
+    if len(samples) and not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
+        raise ValueError("AudioBuffer samples must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,9 +75,7 @@ class AudioBuffer:
         samples = np.ascontiguousarray(self.samples, dtype=np.float32)
         if samples.ndim != 1:
             raise ValueError("AudioBuffer samples must be one-dimensional")
-        # NaN and +-inf propagate through min and max; no N-byte mask.
-        if len(samples) and not (np.isfinite(samples.min()) and np.isfinite(samples.max())):
-            raise ValueError("AudioBuffer samples must be finite")
+        _check_finite(samples)
         rate = int(self.sample_rate_hz)
         if rate <= 0:
             raise ValueError("sample_rate_hz must be positive")
@@ -79,6 +88,10 @@ class AudioBuffer:
     @property
     def duration_s(self) -> float:
         return len(self.samples) / self.sample_rate_hz
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Samples [lo, hi): a view of the array, as ``WavSource.read`` reads a file."""
+        return self.samples[lo:hi]
 
 
 @dataclass(frozen=True, order=True)
@@ -101,64 +114,124 @@ class Turn:
         return self.onset_s + self.duration_s
 
 
+class WavSource:
+    """An open mono RIFF/WAVE file (PCM16 or float32), read a range at a time.
+
+    Opening walks the chunk headers with ``read_wav``'s checks, by offset
+    because ``fmt`` may follow ``data``. ``read`` then decodes only the
+    samples it is asked for, with ``os.pread`` at an offset, so no file
+    position is kept or shared. A source stands in for an AudioBuffer
+    wherever the front end reads samples: it has a length,
+    ``sample_rate_hz``, ``duration_s`` and ``read``, and holds none of the
+    samples between reads. Close it, or use it in a ``with``.
+
+    Raises FileNotFoundError, CorruptHeader, or UnsupportedFormat on open.
+    """
+
+    def __init__(self, path: str | os.PathLike):
+        self._path = path
+        self._fh = open(path, "rb")
+        try:
+            layout = _wav_layout(self._fh.fileno(), path)
+            self._offset, self._len, self.sample_rate_hz, bits = layout
+        except BaseException:
+            self._fh.close()
+            raise
+        self._dtype = np.dtype("<i2" if bits == 16 else "<f4")
+
+    def __len__(self) -> int:
+        return self._len
+
+    @property
+    def duration_s(self) -> float:
+        return self._len / self.sample_rate_hz
+
+    def read(self, lo: int, hi: int) -> np.ndarray:
+        """Samples [lo, hi) as a new float32 array: PCM16 codes divided by
+        32768 in float32, float32 data as stored, so every range equals
+        that range of ``read_wav``'s samples. The file is read
+        ``_WRITE_BLOCK`` samples at a time. A float32 range holding NaN or
+        inf raises ValueError, as an AudioBuffer does, and data missing
+        from the file CorruptHeader.
+        """
+        if not 0 <= lo <= hi <= self._len:
+            raise IndexError(f"samples [{lo}, {hi}) outside the {self._len}-sample file")
+        n = hi - lo
+        out = np.empty(n, dtype=np.float32)
+        raw = np.empty(min(n, _WRITE_BLOCK), dtype=self._dtype)
+        fd = self._fh.fileno()
+        for a in range(0, n, _WRITE_BLOCK):
+            part = raw[: n - a]
+            if os.preadv(fd, [part], self._offset + (lo + a) * raw.itemsize) != part.nbytes:
+                raise CorruptHeader(f"{self._path}: data chunk truncated")
+            out[a : a + len(part)] = part
+        if raw.dtype.kind == "i":
+            out /= 32768.0
+        else:
+            _check_finite(out)
+        return out
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> "WavSource":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def _wav_layout(fd: int, path) -> tuple[int, int, int, int]:
+    """(data offset, sample count, rate, bits per sample) of an open WAV."""
+    size = os.fstat(fd).st_size
+    head = os.pread(fd, 12, 0)
+    if len(head) < 12 or head[0:4] != b"RIFF":
+        raise CorruptHeader(f"{path}: not a RIFF file")
+    if head[8:12] != b"WAVE":
+        raise CorruptHeader(f"{path}: RIFF without WAVE form type")
+
+    fmt = None
+    data = None  # (offset, size) of the data chunk's body
+    pos = 12
+    while pos + 8 <= size:
+        chunk_id, chunk_size = struct.unpack("<4sI", os.pread(fd, 8, pos))
+        if chunk_id == b"fmt ":
+            body = os.pread(fd, min(chunk_size, 16), pos + 8)
+            if len(body) < 16:
+                raise CorruptHeader(f"{path}: fmt chunk too small")
+            fmt = struct.unpack("<HHIIHH", body)
+        elif chunk_id == b"data":
+            if pos + 8 + chunk_size > size:
+                raise CorruptHeader(f"{path}: data chunk truncated")
+            data = (pos + 8, chunk_size)
+        pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
+
+    if fmt is None or data is None:
+        raise CorruptHeader(f"{path}: missing fmt or data chunk")
+    audio_format, channels, rate, _byte_rate, _block_align, bits = fmt
+    if channels != 1:
+        raise UnsupportedFormat(f"{path}: {channels} channels, expected mono")
+    if (audio_format, bits) not in ((_FMT_PCM, 16), (_FMT_IEEE_FLOAT, 32)):
+        raise UnsupportedFormat(
+            f"{path}: codec {audio_format} at {bits} bits not supported"
+        )
+    offset, n_bytes = data
+    if n_bytes % (bits // 8):
+        raise CorruptHeader(f"{path}: data chunk ends inside a sample")
+    return offset, n_bytes // (bits // 8), rate, bits
+
+
 def read_wav(path: str | os.PathLike) -> AudioBuffer:
     """Read a mono RIFF/WAVE file (PCM16 or float32) into an AudioBuffer.
 
-    The chunk headers are walked with seeks, because ``fmt`` may follow
-    ``data``. The samples are then decoded into the float32 output through
-    one reused block of ``_WRITE_BLOCK`` samples, so beside the output the
-    reader never holds more than that block of the file.
+    The file is opened as a WavSource and read whole in one ``read``,
+    which decodes through one block of ``_WRITE_BLOCK`` samples of the
+    file, so beside the output the reader holds no more than that.
 
     Raises FileNotFoundError, CorruptHeader, or UnsupportedFormat.
     """
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(12)
-        if len(head) < 12 or head[0:4] != b"RIFF":
-            raise CorruptHeader(f"{path}: not a RIFF file")
-        if head[8:12] != b"WAVE":
-            raise CorruptHeader(f"{path}: RIFF without WAVE form type")
-
-        fmt = None
-        data = None  # (offset, size) of the data chunk's body
-        pos = 12
-        while pos + 8 <= size:
-            fh.seek(pos)
-            chunk_id, chunk_size = struct.unpack("<4sI", fh.read(8))
-            if chunk_id == b"fmt ":
-                body = fh.read(min(chunk_size, 16))
-                if len(body) < 16:
-                    raise CorruptHeader(f"{path}: fmt chunk too small")
-                fmt = struct.unpack("<HHIIHH", body)
-            elif chunk_id == b"data":
-                if pos + 8 + chunk_size > size:
-                    raise CorruptHeader(f"{path}: data chunk truncated")
-                data = (pos + 8, chunk_size)
-            pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
-
-        if fmt is None or data is None:
-            raise CorruptHeader(f"{path}: missing fmt or data chunk")
-        audio_format, channels, rate, _byte_rate, _block_align, bits = fmt
-        if channels != 1:
-            raise UnsupportedFormat(f"{path}: {channels} channels, expected mono")
-        if (audio_format, bits) not in ((_FMT_PCM, 16), (_FMT_IEEE_FLOAT, 32)):
-            raise UnsupportedFormat(
-                f"{path}: codec {audio_format} at {bits} bits not supported"
-            )
-        offset, n_bytes = data
-        if n_bytes % (bits // 8):
-            raise CorruptHeader(f"{path}: data chunk ends inside a sample")
-        samples = np.empty(n_bytes // (bits // 8), dtype=np.float32)
-        block = np.empty(min(len(samples), _WRITE_BLOCK), dtype="<i2" if bits == 16 else "<f4")
-        fh.seek(offset)
-        for lo in range(0, len(samples), _WRITE_BLOCK):
-            part = block[: len(samples) - lo]
-            if fh.readinto(part) != part.nbytes:
-                raise CorruptHeader(f"{path}: data chunk truncated")
-            samples[lo : lo + len(part)] = part
-    if bits == 16:
-        samples /= 32768.0
-    return AudioBuffer(samples, rate)
+    with WavSource(path) as src:
+        return AudioBuffer(src.read(0, len(src)), src.sample_rate_hz)
 
 
 def write_wav(path: str | os.PathLike, buf: AudioBuffer, bit_depth: int | str = 16) -> None:
@@ -286,19 +359,23 @@ def sinc_interp(x: np.ndarray, ratio: float | Fraction) -> np.ndarray:
     # most k - 1 before x and ends at most k after it.
     windows = sliding_window_view(np.pad(x, n_taps), n_taps)
     out = np.empty(n_out)
+    if steps is None:
+        # Outputs r, r + up, r + 2 up ... share table row (r * down) % up,
+        # and their windows start down samples apart: one strided view.
+        for r in range(min(up, n_out)):
+            start, phase = divmod(r * down, up)
+            rows = windows[start + k + 1 :: down][: len(range(r, n_out, up))]
+            np.einsum("ij,j->i", rows, table[phase], out=out[r::up])
+        return out
     for a in range(0, n_out, _CHUNK_OUT):
         n = np.arange(a, min(n_out, a + _CHUNK_OUT), dtype=np.int64)
-        if steps is None:
-            start, phase = np.divmod(n * down, up)
-            out[a : a + len(n)] = np.einsum("ij,ij->i", table[phase], windows[start + (k + 1)])
-        else:
-            t = n / float(ratio)
-            start = np.floor(t).astype(np.int64)
-            g = (t - start) * steps
-            row = np.minimum(g.astype(np.int64), steps - 1)
-            w = windows[start + (k + 1)]
-            lo = np.einsum("ij,ij->i", table[row], w)
-            out[a : a + len(n)] = lo + (g - row) * np.einsum("ij,ij->i", slope[row], w)
+        t = n / float(ratio)
+        start = np.floor(t).astype(np.int64)
+        g = (t - start) * steps
+        row = np.minimum(g.astype(np.int64), steps - 1)
+        w = windows[start + (k + 1)]
+        lo = np.einsum("ij,ij->i", table[row], w)
+        out[a : a + len(n)] = lo + (g - row) * np.einsum("ij,ij->i", slope[row], w)
     return out
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import AudioBuffer, Turn, emit_rttm, parse_rttm, read_wav, write_wav
+from .audio_io import AudioBuffer, Turn, WavSource, emit_rttm, parse_rttm, read_wav, write_wav
 from .augment import AugmentSpec, add_noise, augment_file, rescale_turns
 from .cluster import agglomerative_cluster, labels_to_turns
 from .corpus import DEFAULT_LAYOUT, DEFAULT_SPLIT, CorpusManifest, generate_dataset
@@ -150,19 +150,27 @@ class PipelineConfig:
 
 
 def embed_segments(
-    buf: AudioBuffer,
+    buf: AudioBuffer | WavSource,
     cfg: PipelineConfig,
     file_id: str,
     external_embeddings: dict[int, Embedding] | None = None,
 ) -> tuple[list[Segment], list[Embedding]]:
     """(denoise) -> VAD -> segment -> embed: the front end every command shares.
 
+    Each stage reads ``buf`` through ``read(lo, hi)``, so an open WavSource
+    is diarized a block at a time, holding no copy of its samples.
+
     ``external_embeddings`` replaces the MFCC embedder with vectors
     keyed by segment index (the embedding-file layout); it must hold
     exactly one vector per segment.
     """
     if cfg.denoise:
-        buf = spectral_gate_denoise(buf, cfg.denoise_params())
+        # The gate picks quiet frames from anywhere in the recording, so it
+        # takes the samples in one read. Read from a WavSource, that array
+        # is freed when the gate returns, leaving only the denoised copy.
+        whole = AudioBuffer(buf.read(0, len(buf)), buf.sample_rate_hz)
+        buf = spectral_gate_denoise(whole, cfg.denoise_params())
+        del whole
     regions = energy_vad(
         buf,
         frame_ms=cfg.vad_frame_ms,
@@ -199,12 +207,16 @@ class DiarizationResult:
 
 
 def diarize_buffer(
-    buf: AudioBuffer,
+    buf: AudioBuffer | WavSource,
     config: PipelineConfig | None = None,
     file_id: str = "file",
     external_embeddings: dict[int, Embedding] | None = None,
 ) -> DiarizationResult:
-    """embed_segments -> cluster -> turns for one buffer."""
+    """embed_segments -> cluster -> turns for one buffer.
+
+    ``buf`` is an AudioBuffer or an open WavSource; both are read through
+    ``read(lo, hi)`` only, and give the same result.
+    """
     cfg = config or PipelineConfig()
     segments, embs = embed_segments(buf, cfg, file_id, external_embeddings)
     if not segments:
@@ -269,10 +281,10 @@ def cmd_corpus(args) -> int:
 def _diarize_one(
     wav_path: Path, cfg: PipelineConfig, embeddings_path: str | None = None
 ) -> tuple[str, DiarizationResult]:
-    """read -> diarize_buffer -> RTTM text, for one WAV."""
-    buf = read_wav(wav_path)
-    external = load_external_embeddings(embeddings_path) if embeddings_path else None
-    result = diarize_buffer(buf, cfg, file_id=wav_path.stem, external_embeddings=external)
+    """open -> diarize_buffer -> RTTM text, for one WAV read a block at a time."""
+    with WavSource(wav_path) as src:
+        external = load_external_embeddings(embeddings_path) if embeddings_path else None
+        result = diarize_buffer(src, cfg, file_id=wav_path.stem, external_embeddings=external)
     return emit_rttm(result.turns), result
 
 
@@ -530,7 +542,8 @@ def cmd_train_toy(args) -> int:
 
 def cmd_export_embeddings(args) -> int:
     cfg = _load_config(args.config)
-    _, embs = embed_segments(read_wav(args.input), cfg, Path(args.input).stem)
+    with WavSource(args.input) as src:
+        _, embs = embed_segments(src, cfg, Path(args.input).stem)
     write_embeddings(args.output, embs)
     print(f"wrote {len(embs)} embeddings to {args.output}")
     return EXIT_OK

@@ -6,10 +6,11 @@ mean make the vectors insensitive to overall gain, so clustering can
 only ever see spectral shape, not loudness.
 
 A recording is framed once into a table of centred cepstra, one row per
-frame. Deltas are a regression over the cepstra two frames either side,
-so a segment's delta and delta-delta rows are rebuilt from the cepstral
-rows around it when it is pooled; no table holds them for the whole
-recording.
+frame, reading its samples a block at a time through ``read(lo, hi)``,
+from an AudioBuffer or an open WavSource alike. Deltas are a regression
+over the cepstra two frames either side, so a segment's delta and
+delta-delta rows are rebuilt from the cepstral rows around it when it is
+pooled; no table holds them for the whole recording.
 
 Externally computed vectors (any dimension) enter through a small binary
 matrix format documented at ``write_embeddings``.
@@ -26,7 +27,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct
 
-from .audio_io import AudioBuffer
+from .audio_io import AudioBuffer, WavSource
 from .errors import (
     CorruptHeader,
     DimMismatch,
@@ -139,14 +140,14 @@ def _frame_starts(n_samples: int, frame: int, hop: int) -> np.ndarray:
 
 
 def _buffer_features(
-    buf: AudioBuffer, n_mels: int, n_coeffs: int, frame_ms: float, hop_ms: float
+    buf: AudioBuffer | WavSource, n_mels: int, n_coeffs: int, frame_ms: float, hop_ms: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Frame starts and centred cepstra, (n_frames, n_coeffs), of every
     full frame of the buffer; ``_feature_rows`` adds the deltas.
 
-    Frames are read in blocks of ``_MFCC_BLOCK``: each block is copied
-    from the float32 samples, with one sample of history, into a reused
-    float64 buffer and pre-emphasised there, then windowed into the
+    Frames are read in blocks of ``_MFCC_BLOCK``: each block's samples,
+    with one sample of history, are read once through ``buf.read`` into a
+    reused float64 buffer and pre-emphasised there, then windowed into the
     leading columns of a reused zero-padded FFT input and transformed to
     rows of the preallocated cepstra table.
 
@@ -178,7 +179,7 @@ def _buffer_features(
         first, end = int(starts[lo]), int(starts[hi - 1]) + frame
         start = max(first - 1, 0)
         x = samples[: end - start]
-        x[...] = buf.samples[start:end]
+        x[...] = buf.read(start, end)
         p = np.multiply(x[:-1], _PRE_EMPHASIS, out=product[: len(x) - 1])
         x[1:] -= p  # x[0] is history, or sample 0 as it is
         frames = sliding_window_view(x[first - start :], frame)[::hop]
@@ -197,7 +198,7 @@ def _buffer_features(
 
 
 def _segment_rows(
-    buf: AudioBuffer, segment: Segment, starts: np.ndarray, frame_ms: float
+    buf: AudioBuffer | WavSource, segment: Segment, starts: np.ndarray, frame_ms: float
 ) -> tuple[int, int]:
     """Row range [lo, hi) of the full frames inside ``segment``.
 
@@ -275,11 +276,11 @@ class MfccEmbedder:
     """Deterministic segment embedder over MFCC statistics.
 
     Each buffer's frame starts and centred cepstra, (n_frames, n_coeffs),
-    are cached (weakly keyed on the buffer object), so embedding every
-    segment of a recording frames it once. A segment's delta rows, and its
-    delta-delta rows when ``base_dims`` reaches them, are rebuilt from the
-    cepstral rows around it, equal to the rows of the whole-recording
-    feature table.
+    are cached (weakly keyed on the AudioBuffer or WavSource object), so
+    embedding every segment of a recording frames it once. A segment's
+    delta rows, and its delta-delta rows when ``base_dims`` reaches them,
+    are rebuilt from the cepstral rows around it, equal to the rows of the
+    whole-recording feature table.
     """
 
     def __init__(
@@ -299,7 +300,7 @@ class MfccEmbedder:
         self.frame_ms = frame_ms
         self.hop_ms = hop_ms
         self.base_dims = base_dims
-        self._cache: weakref.WeakKeyDictionary[AudioBuffer, tuple] = (
+        self._cache: weakref.WeakKeyDictionary[AudioBuffer | WavSource, tuple] = (
             weakref.WeakKeyDictionary()
         )
 
@@ -307,7 +308,7 @@ class MfccEmbedder:
     def dim(self) -> int:
         return 2 * self.base_dims
 
-    def _features_for(self, buf: AudioBuffer) -> tuple[np.ndarray, np.ndarray]:
+    def _features_for(self, buf: AudioBuffer | WavSource) -> tuple[np.ndarray, np.ndarray]:
         cached = self._cache.get(buf)
         if cached is None:
             cached = _buffer_features(
@@ -316,7 +317,7 @@ class MfccEmbedder:
             self._cache[buf] = cached
         return cached
 
-    def embed(self, buf: AudioBuffer, segment: Segment) -> Embedding:
+    def embed(self, buf: AudioBuffer | WavSource, segment: Segment) -> Embedding:
         starts, cepstra = self._features_for(buf)
         lo, hi = _segment_rows(buf, segment, starts, self.frame_ms)
         rows = _feature_rows(cepstra, lo, hi, self.base_dims)

@@ -1,10 +1,11 @@
 """Voice activity detection and fixed-window segmentation.
 
 Speech is detected by frame energy relative to the buffer's own noise
-floor, so the decision is unaffected by overall gain. Samples are centred
-and squared in float64 a block at a time, each sample once, with no
-float64 copy of the buffer; speech frames become regions through integer
-array operations. Detected regions are then cut into overlapping
+floor, so the decision is unaffected by overall gain. Samples are read a
+block at a time through ``read(lo, hi)``, from an AudioBuffer or an open
+WavSource alike, and centred and squared in float64, each sample once,
+with no copy of the recording; speech frames become regions through
+integer array operations. Detected regions are then cut into overlapping
 fixed-length windows for embedding.
 """
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import AudioBuffer
+from .audio_io import AudioBuffer, WavSource
 from .errors import TooShort
 
 MIN_REGION_S = 0.1
@@ -86,18 +87,37 @@ def _frame_blocks(n_frames: int, block: int = _BLOCK_FRAMES):
         yield i * n_frames // count, (i + 1) * n_frames // count
 
 
-def _pairwise_sum(x: np.ndarray, lo: int, hi: int) -> float:
+class _Samples:
+    """``x[lo:hi]`` over a source's ``read(lo, hi)``: the helpers below
+    read their samples by slicing, so they take a bare array as well."""
+
+    def __init__(self, source) -> None:
+        self.read, self._len = source.read, len(source)
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __getitem__(self, s: slice) -> np.ndarray:
+        return self.read(s.start, s.stop)
+
+
+def _pairwise_sum(x, lo: int, hi: int, extremes: list | None = None) -> float:
     """Sum of ``x[lo:hi]``, bit-identical to ``np.sum`` of a float64 copy:
     it splits as numpy's pairwise sum does (n // 2 rounded down to a
-    multiple of 8), and only a leaf is converted to float64."""
+    multiple of 8), and only a leaf is converted to float64. Each leaf's
+    minimum and maximum are appended to ``extremes`` when it is given, so
+    one read of the samples gives their mean and their range."""
     n = hi - lo
     if n <= _SUM_LEAF:
-        return float(np.add.reduce(x[lo:hi].astype(np.float64)))
+        leaf = x[lo:hi]
+        if extremes is not None:
+            extremes += (float(leaf.min()), float(leaf.max()))
+        return float(np.add.reduce(leaf.astype(np.float64)))
     half = n // 16 * 8
-    return _pairwise_sum(x, lo, lo + half) + _pairwise_sum(x, lo + half, hi)
+    return _pairwise_sum(x, lo, lo + half, extremes) + _pairwise_sum(x, lo + half, hi, extremes)
 
 
-def _frame_energies(x: np.ndarray, frame: int, hop: int, *, mean: float = 0.0) -> np.ndarray:
+def _frame_energies(x, frame: int, hop: int, *, mean: float = 0.0) -> np.ndarray:
     """Sum of squares of every full frame of ``x - mean``.
 
     Each block of frames centres and squares the samples it covers once,
@@ -117,25 +137,27 @@ def _frame_energies(x: np.ndarray, frame: int, hop: int, *, mean: float = 0.0) -
     return energy
 
 
-def _spectral_flatness(x: np.ndarray, frame: int, hop: int, *, mean: float = 0.0) -> float:
+def _spectral_flatness(x, frame: int, hop: int, *, mean: float = 0.0) -> float:
     """Geometric over arithmetic mean of the averaged power spectrum.
 
     Near 1 for broadband noise, near 0 for tonal content. Normalised by
-    the peak bin so the measure is independent of signal scale. Frames
-    are centred on ``mean`` and their spectra summed block by block.
+    the peak bin so the measure is independent of signal scale. Each
+    block of frames is read once, centred on ``mean``, and its spectra
+    summed.
     """
-    frames = sliding_window_view(x, frame)[::hop]
+    n_frames = 1 + (len(x) - frame) // hop
     w = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame) / frame)
     total = np.zeros(frame // 2 + 1)
-    windowed = np.empty((min(len(frames), _BLOCK_FRAMES), frame))
+    windowed = np.empty((min(n_frames, _BLOCK_FRAMES), frame))
     spec = np.empty((len(windowed), len(total)))
-    for lo, hi in _frame_blocks(len(frames)):
+    for lo, hi in _frame_blocks(n_frames):
         blk, pw = windowed[: hi - lo], spec[: hi - lo]
-        np.subtract(frames[lo:hi], mean, out=blk, dtype=np.float64)
+        frames = sliding_window_view(x[lo * hop : (hi - 1) * hop + frame], frame)[::hop]
+        np.subtract(frames, mean, out=blk, dtype=np.float64)
         blk *= w
         np.square(np.abs(np.fft.rfft(blk, axis=1), out=pw), out=pw)
         total += np.sum(pw, axis=0)
-    power = total[1:] / len(frames)  # DC excluded; it was removed anyway
+    power = total[1:] / n_frames  # DC excluded; it was removed anyway
     peak = float(np.max(power))
     if peak <= 0.0:
         return 1.0
@@ -162,7 +184,7 @@ def _speech_runs(speech: np.ndarray, frame: int, hop: int, hangover: float) -> n
 
 
 def energy_vad(
-    buf: AudioBuffer,
+    buf: AudioBuffer | WavSource,
     frame_ms: float = 30.0,
     hop_ms: float = 10.0,
     threshold_db: float = 6.0,
@@ -181,6 +203,10 @@ def energy_vad(
     spectral flatness: tonal content becomes one region, broadband noise
     none.
 
+    ``buf`` is read only through ``read(lo, hi)``, at most three times
+    over: for the mean and range, for the frame energies and, only when
+    those are uniform, for the spectral flatness.
+
     Raises TooShort when the buffer holds less than one frame.
     """
     if frame_ms <= 0 or hop_ms <= 0 or hangover_ms < 0:
@@ -193,10 +219,11 @@ def energy_vad(
             f"{frame}-sample frame"
         )
 
-    x = buf.samples
-    mean = _pairwise_sum(x, 0, len(x)) / len(x)
+    x = _Samples(buf)
+    extremes: list[float] = []
+    mean = _pairwise_sum(x, 0, len(x), extremes) / len(x)
     # Every centred sample is zero exactly when all samples equal the mean.
-    if float(x.min()) == float(x.max()) == mean:
+    if min(extremes) == max(extremes) == mean:
         return []
 
     energy = _frame_energies(x, frame, hop, mean=mean)

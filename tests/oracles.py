@@ -204,6 +204,30 @@ def resample_oracle(x, ratio, outputs=None, half_width=16, beta=8.6):
     return out
 
 
+def sinc_interp_gather_oracle(x, up, down, half_width=16, beta=8.6):
+    """The fraction-table resampler at ratio up/down through whole gathers.
+
+    Output n takes the window of 2k taps starting at input n*down // up - k + 1
+    (zero outside x) and the kernel row of offset p/up, p = n*down % up,
+    gathered for every output at once and reduced row by row with einsum.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    n_out = (2 * len(x) * up + down) // (2 * down)  # floor(len(x) * up/down + 1/2)
+    if n_out <= 0 or len(x) == 0:
+        return np.zeros(0)
+    cutoff = min(1.0, up / down)
+    half = half_width / cutoff
+    k = int(np.ceil(half))
+    u = (np.arange(up) / up)[:, None] - np.arange(1 - k, k + 1)[None, :]
+    v2 = (u / half) ** 2
+    win = np.where(v2 < 1.0, np.i0(beta * np.sqrt(np.maximum(1.0 - v2, 0.0))), 0.0)
+    table = cutoff * np.sinc(cutoff * u) * win / np.i0(beta)
+    padded = np.pad(x, 2 * k)
+    start, phase = np.divmod(np.arange(n_out, dtype=np.int64) * down, up)
+    windows = padded[(start + k + 1)[:, None] + np.arange(2 * k)[None, :]]
+    return np.einsum("ij,ij->i", table[phase], windows)
+
+
 def partition_oracle(ref, hyp, collar_s=0.0):
     """Elementary intervals with constant speaker sets, by testing every
     turn against every interval and every reference edge against every

@@ -11,7 +11,7 @@ import diarkit.audio_io
 from conftest import tone, white
 from diarkit.audio_io import sinc_interp
 from diarkit.augment import add_noise, pitch_shift, speed_change
-from oracles import resample_oracle
+from oracles import resample_oracle, sinc_interp_gather_oracle
 
 RATIOS = [
     Fraction(10, 11),
@@ -34,6 +34,20 @@ def test_sinc_interp_matches_oracle_at_every_sample(ratio):
             got = sinc_interp(x, given)
             assert got.shape == want.shape
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "ratio", [Fraction(1, 3), Fraction(10, 11), 1 / 1.1, Fraction(3), Fraction(160, 441)], ids=repr
+)
+def test_fraction_table_path_equals_the_gather_oracle(ratio):
+    # One strided einsum per phase gives every output bit for bit as a
+    # (chunk, taps) gather did, n_out < up included.
+    q = Fraction(ratio).limit_denominator(1000)
+    rng = np.random.default_rng(q.numerator * 1000 + q.denominator)
+    for n in (1, 2, 5, q.denominator - 1, q.denominator + 1, 3001, 20 * 16000):
+        x = rng.standard_normal(n)
+        want = sinc_interp_gather_oracle(x, q.numerator, q.denominator)
+        assert np.array_equal(sinc_interp(x, ratio), want), n
 
 
 @pytest.mark.parametrize("ratio", [2 ** (-2 / 12), 2 ** (5 / 12), 1 / 0.9996, 1 / 1.0731, 0.3], ids=repr)
