@@ -90,7 +90,7 @@ class AudioBuffer:
         return len(self.samples) / self.sample_rate_hz
 
     def read(self, lo: int, hi: int) -> np.ndarray:
-        """Samples [lo, hi): a view of the array, as ``WavSource.read`` reads a file."""
+        """Samples [lo, hi) as a view of the array, like ``WavSource.read`` on a file."""
         return self.samples[lo:hi]
 
 
@@ -119,7 +119,7 @@ class WavSource:
 
     Opening walks the chunk headers with ``read_wav``'s checks, by offset
     because ``fmt`` may follow ``data``. ``read`` then decodes only the
-    samples it is asked for, with ``os.pread`` at an offset, so no file
+    samples it is asked for, with ``os.preadv`` at an offset, so no file
     position is kept or shared. A source stands in for an AudioBuffer
     wherever the front end reads samples: it has a length,
     ``sample_rate_hz``, ``duration_s`` and ``read``, and holds none of the
