@@ -158,19 +158,15 @@ def embed_segments(
     """(denoise) -> VAD -> segment -> embed: the front end every command shares.
 
     Each stage reads ``buf`` through ``read(lo, hi)``, so an open WavSource
-    is diarized a block at a time, holding no copy of its samples.
+    is diarized a block at a time, holding no copy of its samples. With
+    denoise on, the later stages read the gate's float32 output instead.
 
     ``external_embeddings`` replaces the MFCC embedder with vectors
     keyed by segment index (the embedding-file layout); it must hold
     exactly one vector per segment.
     """
     if cfg.denoise:
-        # The gate picks quiet frames from anywhere in the recording, so it
-        # takes the samples in one read. Read from a WavSource, that array
-        # is freed when the gate returns, leaving only the denoised copy.
-        whole = AudioBuffer(buf.read(0, len(buf)), buf.sample_rate_hz)
-        buf = spectral_gate_denoise(whole, cfg.denoise_params())
-        del whole
+        buf = spectral_gate_denoise(buf, cfg.denoise_params())
     regions = energy_vad(
         buf,
         frame_ms=cfg.vad_frame_ms,
@@ -300,9 +296,11 @@ def cmd_diarize(args) -> int:
     cfg.validate()
 
     in_path = Path(args.input)
-    if in_path.suffix == ".json":
-        if args.embeddings:
-            raise ValueError("--embeddings applies to single-file input only")
+    batch = in_path.suffix == ".json"
+    for flag in ("--embeddings", "--export-embeddings", "--out-rttm") if batch else ("--out-dir",):
+        if getattr(args, flag[2:].replace("-", "_")):
+            raise ValueError(f"{flag} applies to {'single-file' if batch else 'manifest'} input only")
+    if batch:
         manifest = CorpusManifest.load(in_path)
         out_dir = Path(args.out_dir or (in_path.parent / "hyp"))
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -6,9 +6,12 @@ every time-frequency cell that fails to clear the floor by a threshold. It
 needs no clean reference, which is what makes it measurable here: the
 synthetic corpus gives us the clean signal to score the output against.
 
-The gate runs over blocks of STFT frames, so beside the float32 output it
-keeps only one energy per frame and one pass/fail flag per frame and bin.
-Its moving averages over time are the running sums scipy's
+The gate reads its source through ``read(lo, hi)`` only, as VAD and MFCC
+do, and runs over blocks of STFT frames, so beside the float32 output it
+keeps only one energy per frame. It reads the samples three times: for the
+frame energies, for the quietest frames' spectra, and in one pass that
+decides each block's cells and resynthesises its frames from the same
+spectra. Its moving averages over time are the running sums scipy's
 ``uniform_filter`` keeps, carried from block to block, and every frame is
 overlap-added in ascending order onto the partial sums the block before
 left, so the output equals the whole-recording computation bit for bit.
@@ -22,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .audio_io import AudioBuffer
+from .audio_io import AudioBuffer, WavSource
 from .errors import LengthMismatch, SilentInput, TooShort
 
 TARGET_RMS_DEFAULT = 0.1  # leaves ~20 dB headroom before clipping
@@ -122,26 +125,28 @@ def _running_sums(ext: np.ndarray, size: int, carry: np.ndarray | None = None) -
     return np.cumsum(sums, axis=0, out=sums)
 
 
-def spectral_gate_denoise(buf: AudioBuffer, params: DenoiseParams | None = None) -> AudioBuffer:
-    """Attenuate time-frequency cells below a per-bin percentile noise floor."""
+def spectral_gate_denoise(buf: AudioBuffer | WavSource, params: DenoiseParams | None = None) -> AudioBuffer:
+    """Attenuate time-frequency cells below a per-bin percentile noise floor.
+    An open WavSource gives the same output as its samples in an AudioBuffer."""
     out = np.empty(len(buf), dtype=np.float32)
-    _gate_into(buf.samples, params or DenoiseParams(), out)
+    _gate_into(buf, params or DenoiseParams(), out)
     return AudioBuffer(out, buf.sample_rate_hz)
 
 
-def _gate_into(x: np.ndarray, p: DenoiseParams, out: np.ndarray) -> None:
-    """The spectral gate of ``x``, overlap-added block by block into
+def _gate_into(src, p: DenoiseParams, out: np.ndarray) -> None:
+    """The spectral gate of ``src``, read through ``read(lo, hi)``, into
     ``out``: float32 in ``spectral_gate_denoise``, or float64 to read the
     overlap-add sums before that cast."""
     # Frame n_cols is the first inside the samples, which the noise floor needs.
     n_cols = -(-p.frame_len // p.hop)
-    if len(x) < n_cols * p.hop:
-        raise TooShort(f"need at least {n_cols * p.hop} samples, got {len(x)}")
+    n = len(src)
+    if n < n_cols * p.hop:
+        raise TooShort(f"need at least {n_cols * p.hop} samples, got {n}")
 
     # Pad one frame on each side so the overlap-add window sum is constant
     # over the original extent, then frame on the hop grid. Frame k starts
     # at k * hop in the padded signal.
-    n_frames = int(np.ceil((len(x) + p.frame_len) / p.hop)) + 1
+    n_frames = int(np.ceil((n + p.frame_len) / p.hop)) + 1
     window = 0.5 - 0.5 * np.cos(2 * np.pi * np.arange(p.frame_len) / p.frame_len)
     n_bins = p.frame_len // 2 + 1
 
@@ -149,18 +154,9 @@ def _gate_into(x: np.ndarray, p: DenoiseParams, out: np.ndarray) -> None:
         # frames k0..k1-1, cut from the float64 segment of the padded signal they span
         lo = k0 * p.hop - p.frame_len
         seg = np.zeros((k1 - k0 - 1) * p.hop + p.frame_len)
-        a, b = max(lo, 0), min(lo + len(seg), len(x))
-        if a < b:
-            seg[a - lo : b - lo] = x[a:b]
+        a, b = max(lo, 0), min(lo + len(seg), n)
+        seg[a - lo : b - lo] = src.read(a, b)
         return np.fft.rfft(sliding_window_view(seg, p.frame_len)[:: p.hop] * window, axis=1)
-
-    def blocks():
-        for a in range(0, n_frames, _BLOCK_FRAMES):
-            yield a, min(a + _BLOCK_FRAMES, n_frames)
-
-    def clamped(a, b):
-        # rows a-3 .. b+1 of a (5, ·) time filter, clamped like mode="nearest"
-        return np.clip(np.arange(a - 3, b + 2), 0, n_frames - 1)
 
     # Noise floor per frequency bin, estimated from the quietest
     # noise_percentile fraction of frames (by broadband energy): their
@@ -168,21 +164,20 @@ def _gate_into(x: np.ndarray, p: DenoiseParams, out: np.ndarray) -> None:
     # percentile misestimates the floor in speech-bearing bins and
     # self-masks stationary tones. Padding-only frames are excluded from
     # the estimate.
-    interior = np.arange(n_cols, len(x) // p.hop + 1)
+    interior = np.arange(n_cols, n // p.hop + 1)
     frame_energy = np.empty(len(interior))
     for i in range(0, len(interior), _BLOCK_FRAMES):
         k = interior[i : i + _BLOCK_FRAMES]
         frame_energy[i : i + len(k)] = np.sum(np.abs(spectra(k[0], k[-1] + 1)) ** 2, axis=1)
     k_quiet = max(1, int(round(p.noise_percentile * len(interior))))
     quiet = interior[np.argsort(frame_energy, kind="stable")[:k_quiet]]
-    del frame_energy
-    # Interior frames lie inside the samples. Their power rows are summed
-    # one after another in quiet order, as np.mean over all of them would.
+    # Interior frames lie inside the samples. They are read and their
+    # power rows summed one after another in quiet order, as np.mean over
+    # all of them would.
     power_sum = np.zeros(n_bins)
-    inside = sliding_window_view(x, p.frame_len)
     for i in range(0, len(quiet), _BLOCK_FRAMES):
-        k = quiet[i : i + _BLOCK_FRAMES]
-        power = np.abs(np.fft.rfft(inside[k * p.hop - p.frame_len] * window, axis=1)) ** 2
+        frames = [src.read(s - p.frame_len, s) for s in quiet[i : i + _BLOCK_FRAMES] * p.hop]
+        power = np.abs(np.fft.rfft(np.stack(frames) * window, axis=1)) ** 2
         power_sum = np.add.reduce(np.vstack([power_sum, power]), axis=0)
     floor = np.sqrt(power_sum / len(quiet))
     # A bin whose floor towers over the median bin is carrying a persistent
@@ -191,27 +186,14 @@ def _gate_into(x: np.ndarray, p: DenoiseParams, out: np.ndarray) -> None:
     floor = np.minimum(floor, 10.0 * np.median(floor))
     gate = floor * 10.0 ** (p.gate_threshold_db / 20.0)
 
-    # Decide on a short moving average over time per bin: averaging pulls
-    # stationary noise well below the gate while bridging brief dips in
-    # sustained tones, so the gate separates the two far more cleanly than
-    # raw per-cell magnitudes would.
-    passing = np.empty((n_frames, n_bins), dtype=bool)
-    carry = None
-    for a, b in blocks():
-        lo, hi = max(a - 3, 0), min(b + 2, n_frames)
-        mag = np.abs(spectra(lo, hi))
-        sums = _running_sums(mag[clamped(a, b) - lo], 5, carry)
-        carry = sums[-1]
-        block = passing[a:b]
-        np.greater_equal(sums / 5.0, gate, out=block)
-        # A window's main lobe spills into the neighbouring bins at half
-        # amplitude; keep those skirts with their peak instead of gating them.
-        block |= np.roll(block, 1, axis=1) | np.roll(block, -1, axis=1)
-
-    # Resynthesise: overlap-add each block's frames in ascending order
-    # onto the partial sums carried from the block before, a hop-wide
-    # column of the frames at a time. The window-square sum repeats with
-    # period hop inside the padding and is built the same way.
+    # Decide and resynthesise in one pass over blocks [a, b). The gains of
+    # frames a..b-1 need the pass/fail flags of frames a-3..b+1, so each
+    # block transforms frames a-3..b+3 once, decides a..b+1 and takes the
+    # three flags before a from the block before; b and b+1 are decided
+    # again, bit for bit, from the running sum carried at row b-1. Frames
+    # are overlap-added in ascending order onto the partial sums the block
+    # before left, a hop-wide column at a time, and the window-square sum,
+    # periodic with period hop inside the padding, is built the same way.
     att = 10.0 ** (-p.attenuation_db / 20.0)
     cols = [(c, c * p.hop, min(p.hop, p.frame_len - c * p.hop)) for c in reversed(range(n_cols))]
     wsum = np.zeros(p.hop)
@@ -219,16 +201,35 @@ def _gate_into(x: np.ndarray, p: DenoiseParams, out: np.ndarray) -> None:
         wsum[:width] += window[c0 : c0 + width] ** 2
     bins = np.clip(np.arange(-2, n_bins + 1), 0, n_bins - 1)
     tail = np.zeros((n_cols - 1) * p.hop)
-    carry = None
-    for a, b in blocks():
-        gain = np.where(passing[clamped(a, b)], 1.0, att)
-        sums = _running_sums(gain, 5, carry)
-        carry = sums[-1]
+    mag_carry = gain_carry = recent = None
+    for a in range(0, n_frames, _BLOCK_FRAMES):
+        b = min(a + _BLOCK_FRAMES, n_frames)
+        lo = max(a - 3, 0)
+        spec = spectra(lo, min(b + 4, n_frames))
+        rows = np.clip(np.arange(a - 3, b + 4), 0, n_frames - 1) - lo  # a-3..b+3, as mode="nearest"
+        sums = _running_sums(np.abs(spec)[rows], 5, mag_carry)
+        mag_carry = sums[b - 1 - a]
+        # Decide on a short moving average over time per bin: averaging
+        # pulls stationary noise well below the gate while bridging brief
+        # dips in sustained tones, so the gate separates the two far more
+        # cleanly than raw per-cell magnitudes would.
+        passing = sums / 5.0 >= gate
+        # A window's main lobe spills into the neighbouring bins at half
+        # amplitude; keep those skirts with their peak instead of gating them.
+        passing |= np.roll(passing, 1, axis=1) | np.roll(passing, -1, axis=1)
+        if recent is not None:
+            passing = np.concatenate([recent, passing])
+        passing = passing[rows[:-2]]  # frames a-3..b+1
+        recent = passing[-5:-2]
+
+        gain = np.where(passing, 1.0, att)
+        sums = _running_sums(gain, 5, gain_carry)
+        gain_carry = sums[-1]
         # Soften edges of kept regions; the max keeps passing cells at unit
         # gain so narrow harmonics are not dragged down by their surroundings.
         smooth = _running_sums((sums / 5.0)[:, bins].T, 3).T / 3.0
         gain = np.maximum(gain[3:-2], smooth)
-        rec = np.fft.irfft(spectra(a, b) * gain, n=p.frame_len, axis=1) * window
+        rec = np.fft.irfft(spec[a - lo : b - lo] * gain, n=p.frame_len, axis=1) * window
 
         y = np.zeros((b - a + n_cols - 1, p.hop))
         y.flat[: len(tail)] = tail
@@ -236,7 +237,7 @@ def _gate_into(x: np.ndarray, p: DenoiseParams, out: np.ndarray) -> None:
             y[c : c + b - a, :width] += rec[:, c0 : c0 + width]
         tail = y[b - a :].ravel()
         done = (y[: b - a] / wsum).ravel()
-        lo = a * p.hop - p.frame_len
-        s0, s1 = max(lo, 0), min(b * p.hop - p.frame_len, len(x))
-        if s0 < s1:
-            out[s0:s1] = done[s0 - lo : s1 - lo]
+        s0 = a * p.hop - p.frame_len
+        lo, hi = max(s0, 0), min(b * p.hop - p.frame_len, n)
+        if lo < hi:
+            out[lo:hi] = done[lo - s0 : hi - s0]

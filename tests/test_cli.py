@@ -15,7 +15,7 @@ import pytest
 import diarkit
 import diarkit.cli
 import diarkit.embed
-from diarkit.audio_io import Turn, emit_rttm, parse_rttm, read_wav, write_wav
+from diarkit.audio_io import AudioBuffer, Turn, emit_rttm, parse_rttm, read_wav, write_wav
 from diarkit.augment import add_noise
 from diarkit.cli import (
     EXIT_IO,
@@ -398,6 +398,25 @@ def test_external_embeddings_rejected_for_batch_input(corpus_dir, tmp_path, caps
     assert "single-file" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--export-embeddings", "--out-rttm"])
+def test_single_file_outputs_rejected_for_batch_input(corpus_dir, tmp_path, capsys, flag):
+    out = tmp_path / "out"
+    rc = main(["diarize", str(corpus_dir / "manifest.json"), flag, str(out)])
+    assert rc == EXIT_VALIDATION
+    assert f"{flag} applies to single-file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_out_dir_rejected_for_single_file_input(mixture_wav, tmp_path, capsys):
+    out_dir = tmp_path / "hyp"
+    rc = main(["diarize", str(mixture_wav), "--out-dir", str(out_dir)])
+    assert rc == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "--out-dir applies to manifest" in captured.err
+    assert captured.out == ""
+    assert not out_dir.exists()
+
+
 # --- config precedence ---
 
 
@@ -600,7 +619,14 @@ def test_diarize_denoise_prints_the_oracle_denoisers_rttm(tmp_path, monkeypatch,
     argv = ["diarize", str(wav), "--denoise", "--num-speakers", "3"]
     assert main(argv) == EXIT_OK
     blocked = capsys.readouterr().out
-    monkeypatch.setattr(diarkit.cli, "spectral_gate_denoise", spectral_gate_denoise_oracle)
+    monkeypatch.setattr(
+        diarkit.cli,
+        "spectral_gate_denoise",
+        # the oracle takes an AudioBuffer; the CLI hands the gate an open WavSource
+        lambda src, p=None: spectral_gate_denoise_oracle(
+            AudioBuffer(src.read(0, len(src)), src.sample_rate_hz), p
+        ),
+    )
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out == blocked
     assert blocked

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from diarkit.audio_io import AudioBuffer
+from diarkit.audio_io import AudioBuffer, WavSource, read_wav, write_wav
 from diarkit.augment import add_noise
 from diarkit.corpus import generate_mixture
 from diarkit.preprocess import (
@@ -41,6 +41,13 @@ def _frames_to_samples(n_frames, p=DenoiseParams()):
     return [n, n - p.hop + 1]
 
 
+# Frame counts at block edges, most with 1-4 frames in the last block: the
+# decisions look three frames ahead and carry three back across each edge.
+_EDGE_FRAMES = [_BLOCK_FRAMES - 1, _BLOCK_FRAMES + 1, _BLOCK_FRAMES + 2, _BLOCK_FRAMES + 3,
+                _BLOCK_FRAMES + 4, 2 * _BLOCK_FRAMES + 1, 2 * _BLOCK_FRAMES + 2]
+_EDGE_LENGTHS = [n for k in _EDGE_FRAMES for n in _frames_to_samples(k)]
+
+
 def _assert_matches_oracle(buf, params=None):
     got = spectral_gate_denoise(buf, params).samples
     want = spectral_gate_denoise_oracle(buf, params).samples
@@ -49,9 +56,7 @@ def _assert_matches_oracle(buf, params=None):
 
 @pytest.mark.parametrize(
     "n",
-    [512, 513, 700, 1024, 5000, 65536, 300_000]
-    + [n for k in (_BLOCK_FRAMES - 1, _BLOCK_FRAMES + 1, 2 * _BLOCK_FRAMES + 1)
-       for n in _frames_to_samples(k)],
+    sorted({512, 513, 700, 1024, 5000, 65536, 300_000, *_EDGE_LENGTHS}),
 )
 def test_denoise_white_noise_equals_oracle(n):
     rng = np.random.default_rng(n)
@@ -80,7 +85,7 @@ def test_denoise_tone_and_noise_equal_oracle_for_params(params):
 
 def _assert_float64_matches_oracle(buf, params=None):
     got = np.empty(len(buf))
-    _gate_into(buf.samples, params or DenoiseParams(), got)
+    _gate_into(buf, params or DenoiseParams(), got)
     assert np.array_equal(got, spectral_gate_float64_oracle(buf, params))
 
 
@@ -88,11 +93,7 @@ def test_denoise_sums_equal_the_oracle_before_the_float32_cast():
     # The float32 output hides last-bit float64 changes to the overlap-add
     # order; the gate written into a float64 output shows them.
     rng = np.random.default_rng(12)
-    lengths = [512, 700, 5000] + [
-        n for k in (_BLOCK_FRAMES - 1, _BLOCK_FRAMES + 1, 2 * _BLOCK_FRAMES + 1)
-        for n in _frames_to_samples(k)
-    ]
-    for n in lengths:
+    for n in [512, 700, 5000] + _EDGE_LENGTHS:
         _assert_float64_matches_oracle(AudioBuffer(0.05 * rng.standard_normal(n), RATE))
     mix, _ = generate_mixture(3, 20.0, seed=4)
     _assert_float64_matches_oracle(add_noise(mix, 0.3, "white", seed=2))
@@ -122,8 +123,8 @@ def test_running_sums_in_blocks_equal_scipys_uniform_filter(size):
 
 
 def test_denoise_memory_does_not_grow_with_the_recording():
-    # 300 s: the float32 output, one energy per frame and one bool per
-    # frame and bin grow with the input; everything else is per block.
+    # 300 s: beside the caller's input, only the float32 output and one
+    # energy per frame grow with it; everything else is per block.
     buf = white(300.0, seed=5)
     spectral_gate_denoise(white(1.0))  # warm numpy's FFT plan caches
     tracemalloc.start()
@@ -133,3 +134,35 @@ def test_denoise_memory_does_not_grow_with_the_recording():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * 8 * len(buf)
+
+
+@pytest.mark.parametrize("bit_depth", [16, "f32"])
+def test_denoise_of_an_open_wav_equals_its_read_whole_buffer(tmp_path, bit_depth):
+    mix, _ = generate_mixture(3, 20.0, seed=4)
+    path = tmp_path / "noisy.wav"
+    write_wav(path, add_noise(mix, 0.3, "white", seed=2), bit_depth)
+    with WavSource(path) as src:
+        got = spectral_gate_denoise(src)
+    want = spectral_gate_denoise(read_wav(path))
+    assert got.sample_rate_hz == want.sample_rate_hz
+    assert np.array_equal(got.samples, want.samples)
+
+
+def test_denoise_of_an_open_wav_holds_only_its_output(tmp_path):
+    # Read a block at a time, the gate holds its 4-byte-per-sample output,
+    # a few MB of blocks and one energy and sort index per frame (about
+    # 0.4 MB more at 300 s than at 150 s).
+    spectral_gate_denoise(white(1.0))  # warm numpy's FFT plan caches
+    excess = []
+    for seconds in (150.0, 300.0):
+        path = tmp_path / f"{seconds:.0f}s.wav"
+        write_wav(path, white(seconds, seed=5))
+        with WavSource(path) as src:
+            tracemalloc.start()
+            try:
+                spectral_gate_denoise(src)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            excess.append(peak - 4 * len(src))
+    assert excess[1] <= excess[0] + 1_000_000
