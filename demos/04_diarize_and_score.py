@@ -2,7 +2,8 @@
 
 The pipeline is VAD -> fixed windows -> MFCC embeddings -> average-link
 agglomerative clustering -> speaker turns. Scoring reports DER (missed,
-false alarm, confusion over reference speech) and purity.
+false alarm, confusion over reference speech) and purity per file, then
+all files pooled as `diarkit evaluate` pools them.
 
 The command-line equivalents are:
     diarkit corpus demo_output/pipeline --layout "2:2,3:1" --seed 21
@@ -21,6 +22,7 @@ from diarkit import (
     diarize_buffer,
     generate_dataset,
     parse_rttm,
+    pooled_report,
     read_wav,
     turns_purity,
 )
@@ -30,6 +32,7 @@ manifest = generate_dataset(out_dir, layout={2: 2, 3: 1}, seed=21)
 print(f"generated {len(manifest.entries)} conversations under {out_dir}\n")
 
 print(f"{'file':10s} {'speakers':>8s} {'found':>5s} {'DER':>7s} {'purity':>7s}")
+files = {}
 for entry in manifest.entries:
     buf = read_wav(out_dir / entry.path)
     ref = parse_rttm((out_dir / entry.rttm_path).read_text(encoding="utf-8"))
@@ -46,6 +49,13 @@ for entry in manifest.entries:
         f"{file_id:10s} {entry.folder:8d} {len(set(labels)):5d} "
         f"{100 * report.der:6.1f}% {purity:7.3f}"
     )
+    files[file_id] = (ref, hyp)
+
+pooled = pooled_report(files)
+print(
+    f"{'pooled':10s} {'':8s} {'':5s} {100 * pooled.der.der:6.1f}% "
+    f"{pooled.cluster_purity:7.3f}  (JER {100 * pooled.jer:.1f}%)"
+)
 
 print("\ncomponents of the last file's DER:")
 print(f"  missed      {report.missed_s:6.2f} s")

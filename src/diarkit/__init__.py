@@ -34,6 +34,7 @@ from .metrics import (
     compute_eer,
     compute_jer,
     hungarian_assign,
+    pooled_report,
     relative_improvement,
     turns_purity,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "load_external_embeddings",
     "parse_rttm",
     "pitch_shift",
+    "pooled_report",
     "read_wav",
     "relative_improvement",
     "resample",

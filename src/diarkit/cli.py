@@ -25,9 +25,9 @@ from .augment import AugmentSpec, add_noise, augment_file, rescale_turns
 from .cluster import agglomerative_cluster, labels_to_turns
 from .corpus import DEFAULT_LAYOUT, DEFAULT_SPLIT, CorpusManifest, generate_dataset
 from .embed import Embedding, MfccEmbedder, load_external_embeddings, write_embeddings
-from .errors import DiarkitError, EmptyReference, IoError
+from .errors import DiarkitError, IoError
 from .losses import TrainConfig, train_toy
-from .metrics import DerReport, MetricReport, compute_der, compute_jer, hypothesis_speech_s, turns_purity
+from .metrics import pooled_report
 from .preprocess import DenoiseParams, estimate_snr_db, spectral_gate_denoise
 from .vad import Segment, energy_vad, uniform_segment
 
@@ -377,52 +377,15 @@ def cmd_evaluate(args) -> int:
     if unscored:
         print(f"not scored, no reference: {', '.join(unscored)}", file=sys.stderr)
 
-    missed = fa = conf = total = 0.0
-    jers, purities, purity_weights = [], [], []
-    mapping = {}
-    for fid in sorted(ref_table):
-        ref, hyp = ref_table[fid], hyp_table[fid]
-        try:
-            der = compute_der(ref, hyp, collar_s=args.collar)
-        except EmptyReference:
-            # Pooled as md-eval and dscore do: with no scored reference
-            # speech, all hypothesis speech is false alarm, and the file
-            # adds nothing to the denominator or to the JER weights.
-            fa += hypothesis_speech_s(ref, hyp, collar_s=args.collar)
-        else:
-            missed += der.missed_s
-            fa += der.false_alarm_s
-            conf += der.confusion_s
-            total += der.total_ref_speech_s
-            mapping.update({f"{fid}/{k}": v for k, v in der.mapping.items()})
-            jers.append(compute_jer(ref, hyp) * der.total_ref_speech_s)
-        hyp_time = sum(t.duration_s for t in hyp)
-        purities.append(turns_purity(ref, hyp) * hyp_time)
-        purity_weights.append(hyp_time)
-    if total <= 0.0:
-        raise EmptyReference("reference contains no scored speech in any file")
-
-    der_value = (missed + fa + conf) / total
-    report = MetricReport(
-        der=DerReport(
-            missed_s=missed,
-            false_alarm_s=fa,
-            confusion_s=conf,
-            total_ref_speech_s=total,
-            der=der_value,
-            mapping=mapping,
-        ),
-        jer=sum(jers) / total,
-        cluster_purity=(
-            sum(purities) / sum(purity_weights) if sum(purity_weights) > 0 else 0.0
-        ),
+    report = pooled_report(
+        {fid: (ref_table[fid], hyp_table[fid]) for fid in ref_table}, collar_s=args.collar
     )
     payload = report.to_json()
     if args.json:
         Path(args.json).write_text(payload + "\n", encoding="utf-8")
     else:
         print(payload)
-    print(f"DER: {100.0 * der_value:.1f}%")
+    print(f"DER: {100.0 * report.der.der:.1f}%")
     return EXIT_OK
 
 

@@ -10,9 +10,12 @@ counted per speaker, so DER can exceed 1.
 The partition is one sweep over the sorted boundaries that keeps a
 count of active turns per speaker, O(b log b) in the number of
 boundaries; the no-score collar test bisects the sorted reference
-edges for the nearest one on each side. DER, JER, and purity each
-build their own list: on an hour of turns one build takes a few tens
-of milliseconds.
+edges for the nearest one on each side. One tally of a partition sums
+each (reference, hypothesis) speaker pair's overlap and solves the
+mapping once, and DER, JER, and purity all read it. ``pooled_report``
+scores a set of files the way ``diarkit evaluate`` does: each file is
+partitioned once, or twice with a collar (collared for DER, uncollared
+for JER and purity).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -199,26 +203,75 @@ def _partition(
     return out
 
 
-def _optimal_mapping(
-    intervals: list[tuple[float, frozenset, frozenset]]
-) -> dict[str, str]:
-    """Overlap-maximizing reference to hypothesis speaker map."""
+class _Tally(NamedTuple):
+    """A partition with each side's speech counted per speaker, the time
+    each (r_spk[i], h_spk[j]) pair speaks together summed in interval
+    order, the overlap-maximizing speaker map, and the hypothesis time
+    credited to the reference speaker each hypothesis speaker overlaps
+    most."""
+
+    intervals: list
+    ref_s: float
+    hyp_s: float
+    r_spk: list
+    h_spk: list
+    overlap: np.ndarray
+    mapping: dict
+    credit: float
+
+
+def _tally(intervals: list[tuple[float, frozenset, frozenset]]) -> _Tally:
     r_spk = sorted({s for _, r, _ in intervals for s in r})
     h_spk = sorted({s for _, _, h in intervals for s in h})
-    if not r_spk or not h_spk:
-        return {}
+    row, col = ({s: i for i, s in enumerate(spk)} for spk in (r_spk, h_spk))
     overlap = np.zeros((len(r_spk), len(h_spk)))
     for d, r_act, h_act in intervals:
-        for i, r in enumerate(r_spk):
-            if r not in r_act:
-                continue
-            for j, h in enumerate(h_spk):
-                if h in h_act:
-                    overlap[i, j] += d
-    pairs = hungarian_assign(-overlap)
-    return {
-        r_spk[i]: h_spk[j] for i, j in pairs.items() if overlap[i, j] > 0.0
-    }
+        for r in r_act:
+            for h in h_act:
+                overlap[row[r], col[h]] += d
+    pairs = hungarian_assign(-overlap) if overlap.size else {}
+    mapping = {r_spk[i]: h_spk[j] for i, j in pairs.items() if overlap[i, j] > 0.0}
+    ref_s = sum(d * len(r) for d, r, _ in intervals)
+    hyp_s = sum(d * len(h) for d, _, h in intervals)
+    credit = 0.0
+    for best in overlap.max(axis=0, initial=0.0).tolist():
+        credit += best
+    # Summed in another order than hyp_s, credit can pass it by an ulp.
+    credit = min(credit, hyp_s)
+    return _Tally(intervals, ref_s, hyp_s, r_spk, h_spk, overlap, mapping, credit)
+
+
+def _check_collar(collar_s: float) -> None:
+    if not 0.0 <= collar_s < np.inf:
+        raise ValueError(f"collar_s must be finite and >= 0, got {collar_s}")
+
+
+def _der(t: _Tally) -> DerReport:
+    if t.ref_s <= 0.0:
+        raise EmptyReference("reference contains no scored speech")
+    missed = fa = confusion = 0.0
+    for d, r_act, h_act in t.intervals:
+        n_ref, n_hyp = len(r_act), len(h_act)
+        n_correct = sum(1 for r, h in t.mapping.items() if r in r_act and h in h_act)
+        missed += d * max(0, n_ref - n_hyp)
+        fa += d * max(0, n_hyp - n_ref)
+        confusion += d * (min(n_ref, n_hyp) - n_correct)
+    der = (missed + fa + confusion) / t.ref_s
+    return DerReport(missed, fa, confusion, t.ref_s, der, t.mapping)
+
+
+def _jer(t: _Tally) -> float:
+    if t.ref_s <= 0.0:
+        raise EmptyReference("reference contains no speech")
+    errors = []
+    for i, r in enumerate(t.r_spk):
+        h = t.mapping.get(r)
+        if h is None:
+            errors.append(1.0)
+            continue
+        union = sum(d for d, ra, ha in t.intervals if r in ra or h in ha)
+        errors.append(1.0 - float(t.overlap[i, t.h_spk.index(h)]) / union)
+    return float(np.mean(errors))
 
 
 def compute_der(
@@ -226,48 +279,13 @@ def compute_der(
 ) -> DerReport:
     """Diarization error rate of a hypothesis against a reference.
 
-    Raises MixedFiles when turns name different files and EmptyReference
-    when no reference speech survives the collar.
+    Raises MixedFiles when turns name different files, EmptyReference
+    when no reference speech survives the collar, and ValueError unless
+    0 <= collar_s < inf.
     """
-    if collar_s < 0:
-        raise ValueError("collar_s must be >= 0")
+    _check_collar(collar_s)
     _single_file_id(ref, hyp)
-    intervals = _partition(ref, hyp, collar_s)
-    total_ref = sum(d * len(r) for d, r, _ in intervals)
-    if total_ref <= 0.0:
-        raise EmptyReference("reference contains no scored speech")
-
-    mapping = _optimal_mapping(intervals)
-    missed = fa = confusion = 0.0
-    for d, r_act, h_act in intervals:
-        n_ref, n_hyp = len(r_act), len(h_act)
-        n_correct = sum(1 for r, h in mapping.items() if r in r_act and h in h_act)
-        missed += d * max(0, n_ref - n_hyp)
-        fa += d * max(0, n_hyp - n_ref)
-        confusion += d * (min(n_ref, n_hyp) - n_correct)
-    der = (missed + fa + confusion) / total_ref
-    return DerReport(
-        missed_s=missed,
-        false_alarm_s=fa,
-        confusion_s=confusion,
-        total_ref_speech_s=total_ref,
-        der=der,
-        mapping=mapping,
-    )
-
-
-def hypothesis_speech_s(
-    ref: list[Turn], hyp: list[Turn], collar_s: float = 0.0
-) -> float:
-    """Hypothesis speech outside the collars, counted per speaker.
-
-    For a file with no scored reference speech this is the false alarm
-    that pooled scoring charges it, as md-eval and dscore do.
-    """
-    if collar_s < 0:
-        raise ValueError("collar_s must be >= 0")
-    _single_file_id(ref, hyp)
-    return sum(d * len(h) for d, _, h in _partition(ref, hyp, collar_s))
+    return _der(_tally(_partition(ref, hyp, collar_s)))
 
 
 def compute_jer(ref: list[Turn], hyp: list[Turn]) -> float:
@@ -278,23 +296,50 @@ def compute_jer(ref: list[Turn], hyp: list[Turn]) -> float:
     averaged over reference speakers.
     """
     _single_file_id(ref, hyp)
-    intervals = _partition(ref, hyp)
-    total_ref = sum(d * len(r) for d, r, _ in intervals)
-    if total_ref <= 0.0:
-        raise EmptyReference("reference contains no speech")
-    mapping = _optimal_mapping(intervals)
+    return _jer(_tally(_partition(ref, hyp)))
 
-    r_spk = sorted({s for _, r, _ in intervals for s in r})
-    errors = []
-    for r in r_spk:
-        h = mapping.get(r)
-        if h is None:
-            errors.append(1.0)
+
+def pooled_report(
+    files: dict[str, tuple[list[Turn], list[Turn]]], collar_s: float = 0.0
+) -> MetricReport:
+    """DER, JER, and purity of several files pooled as md-eval pools them.
+
+    ``files`` maps file_id to (ref, hyp). DER's time components and
+    reference speech are summed before dividing; a file with no scored
+    reference speech adds its hypothesis speech outside the collars as
+    false alarm and nothing else. JER is weighted by scored reference
+    speech, and purity is total credit over total hypothesis speech.
+    The collar applies to DER only; mapping keys are ``file_id/speaker``.
+
+    Raises EmptyReference when no file has scored reference speech,
+    MixedFiles when one file's turns name different files, and
+    ValueError unless 0 <= collar_s < inf.
+    """
+    _check_collar(collar_s)
+    missed = fa = confusion = total = credit = hyp_s = 0.0
+    jers, mapping = [], {}
+    for fid in sorted(files):
+        ref, hyp = files[fid]
+        _single_file_id(ref, hyp)
+        plain = _tally(_partition(ref, hyp))
+        scored = _tally(_partition(ref, hyp, collar_s)) if collar_s > 0.0 else plain
+        credit += plain.credit
+        hyp_s += plain.hyp_s
+        if scored.ref_s <= 0.0:
+            fa += scored.hyp_s
             continue
-        inter = sum(d for d, ra, ha in intervals if r in ra and h in ha)
-        union = sum(d for d, ra, ha in intervals if r in ra or h in ha)
-        errors.append(1.0 - inter / union)
-    return float(np.mean(errors))
+        der = _der(scored)
+        missed += der.missed_s
+        fa += der.false_alarm_s
+        confusion += der.confusion_s
+        total += der.total_ref_speech_s
+        mapping.update({f"{fid}/{k}": v for k, v in der.mapping.items()})
+        jers.append(_jer(plain) * der.total_ref_speech_s)
+    if total <= 0.0:
+        raise EmptyReference("reference contains no scored speech in any file")
+    der = DerReport(missed, fa, confusion, total, (missed + fa + confusion) / total, mapping)
+    purity = credit / hyp_s if hyp_s > 0.0 else 0.0
+    return MetricReport(der=der, jer=sum(jers) / total, cluster_purity=purity)
 
 
 def cluster_purity(
@@ -344,21 +389,8 @@ def turns_purity(ref: list[Turn], hyp: list[Turn]) -> float:
     hypothesis speech.
     """
     _single_file_id(ref, hyp)
-    intervals = _partition(ref, hyp)
-    h_spk = sorted({s for _, _, h in intervals for s in h})
-    total = sum(d * len(h) for d, _, h in intervals)
-    if not h_spk or total <= 0.0:
-        return 0.0
-    credit = 0.0
-    for h in h_spk:
-        overlaps: dict[str, float] = {}
-        for d, r_act, h_act in intervals:
-            if h not in h_act:
-                continue
-            for r in r_act:
-                overlaps[r] = overlaps.get(r, 0.0) + d
-        credit += max(overlaps.values()) if overlaps else 0.0
-    return credit / total
+    t = _tally(_partition(ref, hyp))
+    return t.credit / t.hyp_s if t.hyp_s > 0.0 else 0.0
 
 
 def compute_eer(genuine_scores, impostor_scores) -> float:

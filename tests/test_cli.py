@@ -191,6 +191,32 @@ def test_evaluate_pools_a_noise_only_file_as_false_alarm(tmp_path, capsys):
     assert "no scored speech" in capsys.readouterr().err
 
 
+def test_evaluate_pools_purity_over_hypothesis_speech_per_speaker(tmp_path, capsys):
+    ref_dir, hyp_dir = tmp_path / "ref", tmp_path / "hyp"
+    ref_dir.mkdir()
+    hyp_dir.mkdir()
+    # a: X's two turns overlap each other, so X speaks for 10 s, not 12.
+    (ref_dir / "a.rttm").write_text(emit_rttm([Turn("a", "A", 0.0, 10.0)]))
+    (hyp_dir / "a.rttm").write_text(emit_rttm([Turn("a", "X", 0.0, 6.0), Turn("a", "X", 4.0, 6.0)]))
+    # b: Y's 20 s hold 10 s of A and 10 s of B.
+    (ref_dir / "b.rttm").write_text(
+        emit_rttm([Turn("b", "A", 0.0, 10.0), Turn("b", "B", 10.0, 10.0)])
+    )
+    (hyp_dir / "b.rttm").write_text(emit_rttm([Turn("b", "Y", 0.0, 20.0)]))
+    assert main(["evaluate", "--ref", str(ref_dir), "--hyp", str(hyp_dir)]) == EXIT_OK
+    assert _report(capsys.readouterr().out)["cluster_purity"] == pytest.approx(20 / 30, abs=1e-12)
+
+
+@pytest.mark.parametrize("collar", ["nan", "inf", "-0.5"])
+def test_evaluate_rejects_a_collar_that_is_not_finite_or_is_negative(tmp_path, capsys, collar):
+    rttm = tmp_path / "r.rttm"
+    rttm.write_text(emit_rttm([Turn("rec", "A", 0.0, 10.0)]))
+    argv = ["evaluate", "--ref", str(rttm), "--hyp", str(rttm), "--collar", collar]
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "collar_s" in captured.err and "DER" not in captured.out
+
+
 def test_evaluate_names_hypotheses_without_a_reference(tmp_path, capsys):
     ref_dir, hyp_dir = tmp_path / "ref", tmp_path / "hyp"
     ref_dir.mkdir()

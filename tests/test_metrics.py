@@ -1,6 +1,7 @@
 """Metric correctness against brute-force oracles and hand-derived values."""
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from diarkit.metrics import (
     compute_eer,
     compute_jer,
     hungarian_assign,
-    hypothesis_speech_s,
+    pooled_report,
     relative_improvement,
     turns_purity,
 )
@@ -180,13 +181,102 @@ def test_der_errors():
         compute_der([_t("A", 0.0, 1.0)], [], collar_s=-0.1)
 
 
-def test_hypothesis_speech_counts_each_speaker_outside_the_collar():
-    hyp = [_t("X", 0.0, 2.0), _t("Y", 1.0, 2.0), _t("X", 1.5, 0.5)]
-    assert hypothesis_speech_s([], hyp) == pytest.approx(4.0)
-    assert hypothesis_speech_s([_t("A", 10.0, 0.2)], hyp, collar_s=0.5) == pytest.approx(4.0)
+@pytest.mark.parametrize("collar", [float("nan"), float("inf"), -0.1])
+def test_collar_must_be_finite_and_not_negative(collar):
+    ref = [_t("A", 0.0, 10.0)]
+    with pytest.raises(ValueError):
+        compute_der(ref, ref, collar_s=collar)
+    with pytest.raises(ValueError):
+        pooled_report({"f": (ref, ref)}, collar_s=collar)
+
+
+# --- pooled_report ---
+
+
+def test_pooled_report_charges_unscored_files_their_hypothesis_speech():
+    # X overlaps itself: 2 s of X and 2 s of Y, counted per speaker.
+    hyp = [_t("X", 0.0, 2.0, f="n"), _t("Y", 1.0, 2.0, f="n"), _t("X", 1.5, 0.5, f="n")]
+    talk = [_t("A", 20.0, 10.0, f="talk")]
+
+    def pooled(ref, hyp):
+        return pooled_report({"n": (ref, hyp), "talk": (talk, talk)}, collar_s=0.5).der
+
+    assert pooled([], hyp).false_alarm_s == pytest.approx(4.0)
+    assert pooled([_t("A", 10.0, 0.2, f="n")], hyp).false_alarm_s == pytest.approx(4.0)
     # Collars cover 1.5-2.7 s: X keeps 0-1.5 s, Y keeps 1-1.5 s and 2.7-3 s.
-    assert hypothesis_speech_s([_t("A", 2.0, 0.2)], hyp, collar_s=0.5) == pytest.approx(2.3)
-    assert hypothesis_speech_s([], []) == 0.0
+    rep = pooled([_t("A", 2.0, 0.2, f="n")], hyp)
+    assert rep.false_alarm_s == pytest.approx(2.3)
+    assert rep.total_ref_speech_s == pytest.approx(9.0)  # talk's, inside its collars
+    assert pooled([], []).false_alarm_s == 0.0
+
+
+def _pooled_by_file(files, collar):
+    """Pooled DER components, mapping, and JER composed from the
+    per-file functions as md-eval pools them."""
+    missed = fa = conf = total = 0.0
+    jers, mapping = [], {}
+    for fid in sorted(files):
+        ref, hyp = files[fid]
+        try:
+            der = compute_der(ref, hyp, collar_s=collar)
+        except EmptyReference:
+            # All hypothesis speech outside the collars is false alarm.
+            fa += sum(d * len(h) for d, _, h in _partition(ref, hyp, collar))
+            continue
+        missed += der.missed_s
+        fa += der.false_alarm_s
+        conf += der.confusion_s
+        total += der.total_ref_speech_s
+        mapping.update({f"{fid}/{k}": v for k, v in der.mapping.items()})
+        jers.append(compute_jer(ref, hyp) * der.total_ref_speech_s)
+    return missed, fa, conf, total, (missed + fa + conf) / total, mapping, sum(jers) / total
+
+
+def test_pooled_report_equals_the_per_file_functions_exactly():
+    rng = np.random.default_rng(16)
+    noise = [_t("X", 1.0, 2.0, f="noise"), _t("Y", 2.5, 1.0, f="noise")]
+    collared = [_t("A", 5.0, 0.3, f="collared")]
+    for case in range(40):
+        files = {"noise": ([], noise), "collared": (collared, [_t("X", 4.0, 2.0, f="collared")])}
+        for k in range(int(rng.integers(1, 5))):
+            ref, hyp = random_der_case(rng)
+            files[f"f{k}"] = ([replace(t, file_id=f"f{k}") for t in ref],
+                              [replace(t, file_id=f"f{k}") for t in hyp])
+        for collar in (0.0, 0.25):
+            rep = pooled_report(files, collar_s=collar)
+            d = rep.der
+            got = (d.missed_s, d.false_alarm_s, d.confusion_s, d.total_ref_speech_s, d.der,
+                   d.mapping, rep.jer)
+            assert got == _pooled_by_file(files, collar), f"case {case}, collar {collar}"
+            # Purity: each file's credit over hypothesis speech counted per speaker.
+            speech = {f: sum(x * len(s) for x, _, s in _partition(*files[f])) for f in files}
+            credit = sum(turns_purity(*files[f]) * speech[f] for f in files)
+            assert rep.cluster_purity == pytest.approx(credit / sum(speech.values()), abs=1e-12)
+
+
+def test_a_perfect_hypothesis_scores_zero_error_and_purity_at_most_one():
+    # Credit and hypothesis time are sums of the same durations in
+    # different orders, so without the cap purity can exceed 1 by an ulp
+    # and MetricReport would refuse the report.
+    rng = np.random.default_rng(17)
+    for case in range(200):
+        ref, _ = random_der_case(rng)
+        rep = pooled_report({"f": (ref, ref)})
+        assert (rep.der.der, rep.jer) == (0.0, 0.0), f"case {case}"
+        for purity in (rep.cluster_purity, turns_purity(ref, ref)):
+            assert 1.0 - 1e-12 <= purity <= 1.0, f"case {case}"
+
+
+def test_pooled_report_without_scored_speech_raises():
+    hyp = [_t("X", 0.0, 1.0, f="n")]
+    with pytest.raises(EmptyReference):
+        pooled_report({"n": ([], hyp)})
+    with pytest.raises(EmptyReference):
+        pooled_report({"n": ([_t("A", 0.0, 0.2, f="n")], hyp)}, collar_s=0.25)
+    with pytest.raises(EmptyReference):
+        pooled_report({})
+    with pytest.raises(MixedFiles):
+        pooled_report({"n": ([_t("A", 0.0, 1.0, f="n")], [_t("A", 0.0, 1.0, f="m")])})
 
 
 # --- _partition ---
@@ -262,8 +352,10 @@ def test_scoring_an_hour_of_turns_within_budget():
     der = compute_der(ref, hyp, collar_s=0.25)
     jer = compute_jer(ref, hyp)
     purity = turns_purity(ref, hyp)
+    pooled = pooled_report({"hour": (ref, hyp)}, collar_s=0.25)
     elapsed = time.perf_counter() - start
     assert 0.0 < der.der < 1.0 and 0.0 < jer < 1.0 and 0.0 < purity < 1.0
+    assert pooled.der.der == der.der and pooled.jer == pytest.approx(jer, abs=1e-12)
     assert elapsed < 0.5, f"{elapsed:.2f} s"
 
 
