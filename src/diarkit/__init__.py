@@ -14,7 +14,6 @@ from .audio_io import (
     write_wav,
 )
 from .augment import AugmentSpec, add_noise, augment_file, pitch_shift, rescale_turns, speed_change
-from .cli import PipelineConfig, diarize_buffer
 from .cluster import ClusterResult, agglomerative_cluster, cosine_distance, labels_to_turns
 from .corpus import (
     CorpusManifest,
@@ -38,6 +37,7 @@ from .metrics import (
     relative_improvement,
     turns_purity,
 )
+from .pipeline import PipelineConfig, diarize_buffer
 from .preprocess import (
     DenoiseParams,
     estimate_snr_db,

@@ -15,21 +15,24 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from .audio_io import AudioBuffer, Turn, WavSource, emit_rttm, parse_rttm, read_wav, write_wav
+from .audio_io import Turn, WavSource, emit_rttm, parse_rttm, read_wav, write_wav
 from .augment import AugmentSpec, add_noise, augment_file, rescale_turns
-from .cluster import agglomerative_cluster, labels_to_turns
 from .corpus import DEFAULT_LAYOUT, DEFAULT_SPLIT, CorpusManifest, generate_dataset
-from .embed import Embedding, MfccEmbedder, load_external_embeddings, write_embeddings
+from .embed import load_external_embeddings, write_embeddings
 from .errors import DiarkitError, IoError
 from .losses import TrainConfig, train_toy
 from .metrics import pooled_report
-from .preprocess import DenoiseParams, estimate_snr_db, spectral_gate_denoise
-from .vad import Segment, energy_vad, uniform_segment
+from .pipeline import (
+    DiarizationResult,
+    PipelineConfig,
+    diarize_buffer,
+    embed_segments,
+    training_arrays,
+)
+from .preprocess import estimate_snr_db
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,192 +40,9 @@ EXIT_IO = 2
 EXIT_PAIRING = 3
 EXIT_VALIDATION = 4
 
-# Average-linkage cosine distance at which two segment groups are
-# considered the same voice (calibrated on the synthetic corpus).
-CLUSTER_THRESHOLD_DEFAULT = 0.4
-
 
 class PairingError(DiarkitError, ValueError):
     """Reference and hypothesis files could not be matched up."""
-
-
-@dataclass
-class PipelineConfig:
-    """Every stage's knobs in one JSON-serializable document."""
-
-    vad_frame_ms: float = 30.0
-    vad_hop_ms: float = 10.0
-    vad_threshold_db: float = 6.0
-    vad_hangover_ms: float = 200.0
-    window_s: float = 1.5
-    segment_hop_s: float = 0.75
-    n_mels: int = 40
-    n_coeffs: int = 13
-    mfcc_frame_ms: float = 25.0
-    mfcc_hop_ms: float = 10.0
-    base_dims: int = 26
-    cluster_threshold: float = CLUSTER_THRESHOLD_DEFAULT
-    num_speakers: int | None = None
-    denoise: bool = False
-    noise_percentile: float = 0.2
-    gate_threshold_db: float = 6.0
-    attenuation_db: float = 20.0
-    train: dict = field(default_factory=dict)
-
-    _SECTIONS = {
-        "vad": {
-            "frame_ms": "vad_frame_ms",
-            "hop_ms": "vad_hop_ms",
-            "threshold_db": "vad_threshold_db",
-            "hangover_ms": "vad_hangover_ms",
-        },
-        "segment": {"window_s": "window_s", "hop_s": "segment_hop_s"},
-        "embed": {
-            "n_mels": "n_mels",
-            "n_coeffs": "n_coeffs",
-            "frame_ms": "mfcc_frame_ms",
-            "hop_ms": "mfcc_hop_ms",
-            "base_dims": "base_dims",
-        },
-        "cluster": {"threshold": "cluster_threshold", "k": "num_speakers"},
-        "denoise": {
-            "enabled": "denoise",
-            "noise_percentile": "noise_percentile",
-            "gate_threshold_db": "gate_threshold_db",
-            "attenuation_db": "attenuation_db",
-        },
-    }
-
-    def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        """Check every stage's preconditions before any audio is read."""
-        if min(self.vad_frame_ms, self.vad_hop_ms, self.window_s, self.segment_hop_s) <= 0:
-            raise ValueError("framing parameters must be positive")
-        if self.vad_threshold_db <= 0 or self.vad_hangover_ms < 0:
-            raise ValueError("bad VAD threshold or hangover")
-        if self.cluster_threshold < 0:
-            raise ValueError("cluster_threshold must be >= 0")
-        if self.num_speakers is not None and self.num_speakers < 1:
-            raise ValueError("num_speakers must be >= 1")
-        self.denoise_params()
-        TrainConfig(**self.train)
-        self.embedder()  # constructor performs the embed-stage checks
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "PipelineConfig":
-        kwargs = {}
-        for key, value in raw.items():
-            if key in cls._SECTIONS:
-                if not isinstance(value, dict):
-                    raise ValueError(f"config section {key!r} must be an object")
-                for sub, subval in value.items():
-                    if sub not in cls._SECTIONS[key]:
-                        raise ValueError(f"unknown config key {key}.{sub}")
-                    kwargs[cls._SECTIONS[key][sub]] = subval
-            elif key == "train":
-                kwargs[key] = value
-            else:
-                raise ValueError(f"unknown config key {key!r}")
-        return cls(**kwargs)
-
-    @classmethod
-    def from_json_file(cls, path) -> "PipelineConfig":
-        with open(path, encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
-
-    def embedder(self) -> MfccEmbedder:
-        return MfccEmbedder(
-            n_mels=self.n_mels,
-            n_coeffs=self.n_coeffs,
-            frame_ms=self.mfcc_frame_ms,
-            hop_ms=self.mfcc_hop_ms,
-            base_dims=self.base_dims,
-        )
-
-    def denoise_params(self) -> DenoiseParams:
-        return DenoiseParams(
-            noise_percentile=self.noise_percentile,
-            gate_threshold_db=self.gate_threshold_db,
-            attenuation_db=self.attenuation_db,
-        )
-
-
-def embed_segments(
-    buf: AudioBuffer | WavSource,
-    cfg: PipelineConfig,
-    file_id: str,
-    external_embeddings: dict[int, Embedding] | None = None,
-) -> tuple[list[Segment], list[Embedding]]:
-    """(denoise) -> VAD -> segment -> embed: the front end every command shares.
-
-    Each stage reads ``buf`` through ``read(lo, hi)``, so an open WavSource
-    is diarized a block at a time, holding no copy of its samples. With
-    denoise on, the later stages read the gate's float32 output instead.
-
-    ``external_embeddings`` replaces the MFCC embedder with vectors
-    keyed by segment index (the embedding-file layout); it must hold
-    exactly one vector per segment.
-    """
-    if cfg.denoise:
-        buf = spectral_gate_denoise(buf, cfg.denoise_params())
-    regions = energy_vad(
-        buf,
-        frame_ms=cfg.vad_frame_ms,
-        hop_ms=cfg.vad_hop_ms,
-        threshold_db=cfg.vad_threshold_db,
-        hangover_ms=cfg.vad_hangover_ms,
-    )
-    segments = uniform_segment(
-        regions, window_s=cfg.window_s, hop_s=cfg.segment_hop_s, file_id=file_id
-    )
-    if external_embeddings is None:
-        embedder = cfg.embedder()  # its cache frames the buffer once
-        return segments, [embedder.embed(buf, s) for s in segments]
-    if sorted(external_embeddings) != [s.index for s in segments]:
-        rows = len(external_embeddings)
-        raise ValueError(f"embedding file holds {rows} rows for {len(segments)} segments")
-    return segments, [external_embeddings[s.index] for s in segments]
-
-
-@dataclass(frozen=True)
-class DiarizationResult:
-    """One buffer's turns, segments, labels and the vectors clustered.
-
-    Unpacks as ``turns, segments, labels``.
-    """
-
-    turns: list[Turn]
-    segments: list[Segment]
-    labels: list[int]
-    embeddings: list[Embedding]
-
-    def __iter__(self):
-        return iter((self.turns, self.segments, self.labels))
-
-
-def diarize_buffer(
-    buf: AudioBuffer | WavSource,
-    config: PipelineConfig | None = None,
-    file_id: str = "file",
-    external_embeddings: dict[int, Embedding] | None = None,
-) -> DiarizationResult:
-    """embed_segments -> cluster -> turns for one buffer.
-
-    ``buf`` is an AudioBuffer or an open WavSource; both are read through
-    ``read(lo, hi)`` only, and give the same result.
-    """
-    cfg = config or PipelineConfig()
-    segments, embs = embed_segments(buf, cfg, file_id, external_embeddings)
-    if not segments:
-        return DiarizationResult([], [], [], [])
-    if cfg.num_speakers is not None:
-        stop = {"k": min(cfg.num_speakers, len(segments))}
-    else:
-        stop = {"threshold": cfg.cluster_threshold}
-    labels = list(agglomerative_cluster(embs, stop).labels)
-    return DiarizationResult(labels_to_turns(segments, labels, file_id), segments, labels, embs)
 
 
 def _env_seed(flag_value: int | None) -> int:
@@ -430,49 +250,6 @@ def cmd_snr(args) -> int:
     return EXIT_OK
 
 
-def _training_arrays(manifest: CorpusManifest, root: Path, cfg: PipelineConfig, max_files: int):
-    """Frame features, labels, and per-turn sequences from train files.
-
-    Each file is framed once; every turn builds its rows from those cepstra.
-    """
-    from .embed import _buffer_features, _feature_rows, _segment_rows
-
-    speakers = sorted(
-        {s for e in manifest.entries if e.split == "train" for s in e.speaker_ids}
-    )
-    class_of = {s: i + 1 for i, s in enumerate(speakers)}  # 0 is the CTC blank
-    feats, labels, seqs = [], [], []
-    cursor = 0
-    used = 0
-    for entry in manifest.entries:
-        if entry.split != "train" or entry.folder == 0:
-            continue
-        if used >= max_files:
-            break
-        used += 1
-        buf = read_wav(root / entry.path)
-        turns = parse_rttm((root / entry.rttm_path).read_text(encoding="utf-8"))
-        starts, cepstra = _buffer_features(
-            buf, cfg.n_mels, cfg.n_coeffs, cfg.mfcc_frame_ms, cfg.mfcc_hop_ms
-        )
-        for turn in turns:
-            seg = Segment(
-                file_id=entry.path,
-                onset_s=turn.onset_s,
-                offset_s=min(turn.offset_s, len(buf) / buf.sample_rate_hz),
-                index=len(seqs),
-            )
-            rows = _feature_rows(cepstra, *_segment_rows(buf, seg, starts, cfg.mfcc_frame_ms))
-            label = class_of[turn.speaker_id]
-            feats.append(rows)
-            labels.extend([label] * len(rows))
-            seqs.append(((cursor, cursor + len(rows)), [label]))
-            cursor += len(rows)
-    if not feats:
-        raise DiarkitError("manifest has no trainable speech files")
-    return np.concatenate(feats), np.asarray(labels), seqs
-
-
 def cmd_train_toy(args) -> int:
     cfg = _load_config(args.config)
     manifest_path = Path(args.manifest)
@@ -481,9 +258,7 @@ def cmd_train_toy(args) -> int:
     if args.seed is not None or "rng_seed" not in train_kwargs:
         train_kwargs["rng_seed"] = _env_seed(args.seed)
     train_cfg = TrainConfig(**train_kwargs)
-    feats, labels, seqs = _training_arrays(
-        manifest, manifest_path.parent, cfg, args.max_files
-    )
+    feats, labels, seqs = training_arrays(manifest, manifest_path.parent, cfg, args.max_files)
     model, history = train_toy(feats, labels, seqs, train_cfg)
     if args.out_model:
         model.save(args.out_model)

@@ -227,28 +227,6 @@ def _segment_rows(
     return lo, hi
 
 
-def mfcc_features(
-    buf: AudioBuffer,
-    segment: Segment,
-    n_mels: int = 40,
-    n_coeffs: int = 13,
-    frame_ms: float = 25.0,
-    hop_ms: float = 10.0,
-) -> np.ndarray:
-    """Cepstral features for one segment, frames x (3 * n_coeffs).
-
-    Columns are c1..c{n} after buffer-wide mean subtraction, then their
-    deltas and delta-deltas. c0 is dropped.
-
-    Raises SegmentOutOfRange when the segment ends past the buffer and
-    TooShort when it holds no full analysis frame.
-    """
-    if n_mels < n_coeffs + 1:
-        raise ValueError("n_mels must exceed n_coeffs")
-    starts, cepstra = _buffer_features(buf, n_mels, n_coeffs, frame_ms, hop_ms)
-    return _feature_rows(cepstra, *_segment_rows(buf, segment, starts, frame_ms))
-
-
 def _pooled_vector(features: np.ndarray, base_dims: int) -> np.ndarray:
     f = np.asarray(features, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] < 2:
@@ -308,20 +286,39 @@ class MfccEmbedder:
     def dim(self) -> int:
         return 2 * self.base_dims
 
-    def _features_for(self, buf: AudioBuffer | WavSource) -> tuple[np.ndarray, np.ndarray]:
+    def features(
+        self, buf: AudioBuffer | WavSource, segment: Segment, width: int | None = None
+    ) -> np.ndarray:
+        """The segment's rows of c1..c{n} (buffer-mean subtracted; c0 is
+        dropped), deltas and delta-deltas, or their leading ``width`` columns.
+
+        Raises SegmentOutOfRange when the segment ends past the buffer and
+        TooShort when it holds no full analysis frame.
+        """
         cached = self._cache.get(buf)
         if cached is None:
-            cached = _buffer_features(
+            cached = self._cache[buf] = _buffer_features(
                 buf, self.n_mels, self.n_coeffs, self.frame_ms, self.hop_ms
             )
-            self._cache[buf] = cached
-        return cached
+        starts, cepstra = cached
+        return _feature_rows(cepstra, *_segment_rows(buf, segment, starts, self.frame_ms), width)
 
     def embed(self, buf: AudioBuffer | WavSource, segment: Segment) -> Embedding:
-        starts, cepstra = self._features_for(buf)
-        lo, hi = _segment_rows(buf, segment, starts, self.frame_ms)
-        rows = _feature_rows(cepstra, lo, hi, self.base_dims)
+        rows = self.features(buf, segment, self.base_dims)
         return Embedding(_pooled_vector(rows, self.base_dims), segment_ref=segment)
+
+
+def mfcc_features(
+    buf: AudioBuffer,
+    segment: Segment,
+    n_mels: int = 40,
+    n_coeffs: int = 13,
+    frame_ms: float = 25.0,
+    hop_ms: float = 10.0,
+) -> np.ndarray:
+    """Cepstral features for one segment, frames x (3 * n_coeffs): the
+    rows ``MfccEmbedder.features`` gives, from a fresh embedder."""
+    return MfccEmbedder(n_mels, n_coeffs, frame_ms, hop_ms, 3 * n_coeffs).features(buf, segment)
 
 
 _HEADER = struct.Struct("<II")

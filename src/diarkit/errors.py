@@ -1,4 +1,4 @@
-"""Shared exception types.
+"""Shared exception types, and the number check every config dataclass runs.
 
 Every toolkit-specific failure subclasses DiarkitError so callers can catch
 one base; each also subclasses the closest builtin (ValueError, IndexError)
@@ -6,9 +6,26 @@ to stay idiomatic. File-not-found and OS-level failures use the builtins
 FileNotFoundError / OSError directly.
 """
 
+import math
+from dataclasses import fields
+from numbers import Integral, Real
+
 
 class DiarkitError(Exception):
     pass
+
+
+def check_numbers(config) -> None:
+    """Raise ValueError unless each field of dataclass ``config`` annotated
+    ``int`` or ``float`` holds a finite number of that kind; a bool is no
+    number here, and ``int | None`` also takes None."""
+    for f in fields(config):
+        kind, value = f.type.partition(" ")[0], getattr(config, f.name)
+        if kind not in ("int", "float") or (value is None and f.type.endswith("| None")):
+            continue
+        finite_real = kind == "float" and isinstance(value, Real) and math.isfinite(value)
+        if isinstance(value, bool) or not (isinstance(value, Integral) or finite_real):
+            raise ValueError(f"{f.name} must be a finite {kind}, got {value!r}")
 
 
 # ---- audio_io ----

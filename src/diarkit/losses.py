@@ -19,6 +19,7 @@ from .errors import (
     IndexOutOfRange,
     LabelOutOfRange,
     UnnormalizedRow,
+    check_numbers,
 )
 
 _NEG_INF = -np.inf
@@ -184,9 +185,9 @@ class TrainConfig:
     early_stop_patience: int = 3
     dual_loss_lambda: float = 0.5
     rng_seed: int = 0
-    cosine_decay: bool = False
 
     def __post_init__(self) -> None:
+        check_numbers(self)
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
         if self.batch_size < 1 or self.max_epochs < 1 or self.early_stop_patience < 1:
@@ -257,8 +258,7 @@ class _AdamW:
         self.v = [np.zeros(s) for s in shapes]
         self.t = 0
 
-    def step(self, params, grads, lr=None):
-        lr = self.lr if lr is None else lr
+    def step(self, params, grads):
         self.t += 1
         out = []
         for i, (p, g) in enumerate(zip(params, grads)):
@@ -266,9 +266,9 @@ class _AdamW:
             self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
             m_hat = self.m[i] / (1 - self.beta1**self.t)
             v_hat = self.v[i] / (1 - self.beta2**self.t)
-            p = p - lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            p = p - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
             if self.decay_mask[i]:
-                p = p - lr * self.weight_decay * p
+                p = p - self.lr * self.weight_decay * p
             out.append(p)
         return out
 
@@ -360,10 +360,6 @@ def train_toy(features, frame_labels, sequences, config: TrainConfig):
     best_val = np.inf
     stale = 0
     for epoch in range(1, config.max_epochs + 1):
-        lr = config.learning_rate
-        if config.cosine_decay:
-            lr *= 0.5 * (1.0 + np.cos(np.pi * (epoch - 1) / config.max_epochs))
-
         order = rng.permutation(len(train_seqs))
         losses = []
         for chunk in range(0, len(order), config.batch_size):
@@ -377,9 +373,7 @@ def train_toy(features, frame_labels, sequences, config: TrainConfig):
                 losses.append(loss)
                 grad_w += gw / len(batch)
                 grad_b += gb / len(batch)
-            model.weights, model.bias = opt.step(
-                [model.weights, model.bias], [grad_w, grad_b], lr=lr
-            )
+            model.weights, model.bias = opt.step([model.weights, model.bias], [grad_w, grad_b])
 
         train_loss = float(np.mean(losses))
         if val_seqs:

@@ -26,7 +26,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .audio_io import AudioBuffer, WavSource
-from .errors import LengthMismatch, SilentInput, TooShort
+from .errors import LengthMismatch, SilentInput, TooShort, check_numbers
 
 TARGET_RMS_DEFAULT = 0.1  # leaves ~20 dB headroom before clipping
 
@@ -44,6 +44,7 @@ class DenoiseParams:
     attenuation_db: float = 20.0
 
     def __post_init__(self):
+        check_numbers(self)
         if self.frame_len <= 0 or self.hop <= 0:
             raise ValueError("frame_len and hop must be positive")
         if self.hop >= self.frame_len:

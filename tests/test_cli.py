@@ -15,6 +15,7 @@ import pytest
 import diarkit
 import diarkit.cli
 import diarkit.embed
+import diarkit.pipeline
 from diarkit.audio_io import AudioBuffer, Turn, emit_rttm, parse_rttm, read_wav, write_wav
 from diarkit.augment import add_noise
 from diarkit.cli import (
@@ -24,13 +25,13 @@ from diarkit.cli import (
     EXIT_USAGE,
     EXIT_VALIDATION,
     PipelineConfig,
-    _training_arrays,
     diarize_buffer,
     embed_segments,
     main,
 )
 from diarkit.corpus import CorpusManifest, generate_mixture
 from diarkit.embed import MfccEmbedder, load_external_embeddings, mfcc_features, write_embeddings
+from diarkit.pipeline import training_arrays
 from diarkit.vad import Segment
 
 from oracles import spectral_gate_denoise_oracle
@@ -82,6 +83,43 @@ def test_bad_config_value_exits_4(tmp_path, mixture_wav, capsys):
     cfg.write_text(json.dumps({"clustering": {}}))
     assert main(["diarize", str(mixture_wav), "--config", str(cfg)]) == EXIT_VALIDATION
     assert "unknown config key" in capsys.readouterr().err
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "command, doc, flags",
+    [
+        ("diarize", {"train": {"bogus": 1}}, []),
+        ("export-embeddings", {"train": {"bogus": 1}}, []),
+        ("train-toy", {"train": {"bogus": 1}}, []),
+        ("diarize", {"train": {"cosine_decay": True}}, []),
+        ("diarize", {"train": [1]}, []),
+        ("diarize", {"train": {"learning_rate": NAN}}, []),
+        ("diarize", {"train": {"batch_size": True}}, []),
+        ("diarize", [1], []),
+        ("diarize", {"vad": {"threshold_db": "6"}}, []),
+        ("diarize", {"vad": {"threshold_db": NAN}}, []),
+        ("diarize", {"denoise": {"gate_threshold_db": NAN}}, []),
+        ("diarize", {"denoise": {"gate_threshold_db": INF}}, []),
+        ("diarize", {"embed": {"n_mels": 40.5}}, []),
+        ("diarize", {"cluster": {"k": 2.5}}, []),
+        ("diarize", {}, ["--threshold", "nan"]),
+    ],
+)
+def test_malformed_config_exits_4_before_any_audio_is_read(tmp_path, capsys, command, doc, flags):
+    # The input does not exist, so a check made after opening it would exit 2.
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    missing = str(tmp_path / "missing.wav")
+    argv = {
+        "diarize": ["diarize", missing],
+        "export-embeddings": ["export-embeddings", missing, str(tmp_path / "out.bin")],
+        "train-toy": ["train-toy", "--manifest", str(tmp_path / "missing.json")],
+    }[command]
+    assert main(argv + ["--config", str(cfg)] + flags) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_unmatched_reference_exits_3_and_names_it(tmp_path, capsys):
@@ -646,7 +684,7 @@ def test_diarize_denoise_prints_the_oracle_denoisers_rttm(tmp_path, monkeypatch,
     assert main(argv) == EXIT_OK
     blocked = capsys.readouterr().out
     monkeypatch.setattr(
-        diarkit.cli,
+        diarkit.pipeline,
         "spectral_gate_denoise",
         # the oracle takes an AudioBuffer; the CLI hands the gate an open WavSource
         lambda src, p=None: spectral_gate_denoise_oracle(
@@ -738,7 +776,11 @@ def test_training_arrays_frame_each_file_once(corpus_dir, monkeypatch):
     monkeypatch.setattr(
         diarkit.embed, "_buffer_features", lambda *a: calls.append(1) or framing(*a)
     )
-    feats, labels, seqs = _training_arrays(manifest, corpus_dir, cfg, 10**6)
+    # Each file is read a block at a time, never whole.
+    for mod in [m for n, m in sys.modules.items() if n.startswith("diarkit")]:
+        if "read_wav" in vars(mod):
+            monkeypatch.setattr(mod, "read_wav", lambda *a: pytest.fail("read_wav called"))
+    feats, labels, seqs = training_arrays(manifest, corpus_dir, cfg, 10**6)
     assert np.array_equal(feats, np.concatenate(want_feats))
     assert np.array_equal(labels, np.asarray(want_labels))
     assert seqs == want_seqs

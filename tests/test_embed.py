@@ -206,6 +206,9 @@ def test_embeddings_pool_the_whole_table_rows(base_dims):
         starts = np.arange(0, len(buf) - 400 + 1, 160)
         inside = (starts >= round(on * RATE)) & (starts + 400 <= round(off * RATE))
         assert np.array_equal(rows, table[inside]), (on, off)
+        for width in (None, 13, 26, 39):
+            got = embedder.features(buf, seg, width)
+            assert np.array_equal(got, table[inside][:, :width]), (on, off, width)
 
 
 def test_embedding_validation():
