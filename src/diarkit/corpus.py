@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +34,9 @@ LEAD_LO, LEAD_HI = 0.5, 1.0
 BED_NOISE_RMS = 1e-3  # -60 dBFS behind speech
 MAX_HARMONIC_HZ = 3600.0
 _SYNTH_BLOCK = 8192  # samples per block of the harmonic recurrence
+# Speech seconds from which a mixture synthesises its turns in workers:
+# starting them costs about as much as 10 s of synthesis.
+_FORK_MIN_SPEECH_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -163,6 +169,43 @@ def synth_utterance(profile: SpeakerProfile, duration_s: float, seed: int) -> Au
     return AudioBuffer(samples=x.astype(np.float32), sample_rate_hz=RATE)
 
 
+def _synth(profile: SpeakerProfile, duration_s: float, seed: int) -> AudioBuffer:
+    # Looks synth_utterance up at call time, so a rebound name is used
+    # and nothing is pickled by a name that no longer binds it.
+    return synth_utterance(profile, duration_s, seed=seed)
+
+
+def _map_in_workers(fn, jobs: list[tuple]) -> list:
+    """``[fn(*job) for job in jobs]``, computed in forked worker processes.
+
+    ``fn`` must be a module-level function. One worker starts per usable
+    core, at most one per job, and all of them have exited on return.
+    The call runs inline when fewer than two workers would start, where
+    ``fork`` is unavailable, inside a multiprocessing child, and while
+    other threads are alive, since a forked copy of a threaded process
+    can inherit a lock that no thread will release.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cores = os.cpu_count() or 1
+    workers = min(cores, len(jobs))
+    if workers >= 2 and threading.active_count() == 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if (
+            multiprocessing.parent_process() is None
+            and "fork" in multiprocessing.get_all_start_methods()
+        ):
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                return list(pool.map(fn, *zip(*jobs)))
+            finally:
+                pool.shutdown(cancel_futures=True)
+    return list(starmap(fn, jobs))
+
+
 def _schedule_turns(n_speakers, duration_s, overlap_fraction, rng):
     """Round-robin turn schedule; every speaker talks at least once.
 
@@ -221,7 +264,9 @@ def generate_mixture(
 ) -> tuple[AudioBuffer, list[Turn]]:
     """A multi-speaker conversation and its exact reference turns.
 
-    Zero speakers yields low-level white noise and no turns. Raises
+    Zero speakers yields low-level white noise and no turns. Once the
+    turns hold 60 s of speech or more, they are synthesised on every
+    usable core; the samples are the same as from one core. Raises
     BadSpeakerCount outside 0..4 and TooShort below 4 s with speakers.
     """
     if not 0 <= n_speakers <= 4:
@@ -255,10 +300,16 @@ def generate_mixture(
     schedule = _schedule_turns(n_speakers, duration_s, overlap_fraction, rng)
 
     x = rng.standard_normal(n) * BED_NOISE_RMS
+    jobs = [
+        (profiles[spk], offset - onset, int(rng.integers(0, 2**31)))
+        for spk, onset, offset in schedule
+    ]
+    if sum(job[1] for job in jobs) >= _FORK_MIN_SPEECH_S:
+        utts = _map_in_workers(_synth, jobs)
+    else:
+        utts = starmap(_synth, jobs)
     turns = []
-    for spk, onset, offset in schedule:
-        turn_seed = int(rng.integers(0, 2**31))
-        utt = synth_utterance(profiles[spk], offset - onset, seed=turn_seed)
+    for (spk, onset, offset), utt in zip(schedule, utts):
         start = int(round(onset * RATE))
         stop = min(start + len(utt), n)
         x[start:stop] += utt.samples[: stop - start].astype(np.float64)
@@ -271,7 +322,10 @@ def generate_mixture(
             )
         )
 
-    peak = np.max(np.abs(x))
+    # Free the utterances and read max |x| without an |x| copy before the
+    # float32 copy below: an hour's x alone is 460 MB.
+    del utts
+    peak = max(x.max(), -x.min())
     if peak > 0.97:
         x *= 0.97 / peak
     buf = AudioBuffer(samples=x.astype(np.float32), sample_rate_hz=RATE)
@@ -354,6 +408,43 @@ def split_counts(total: int, split=DEFAULT_SPLIT) -> tuple[int, int, int]:
     return tuple(base)
 
 
+def _write_file(
+    out_dir: Path, seed: int, overlap_fraction: float, folder: int, idx: int, part: str
+) -> ManifestEntry:
+    """Generate file ``idx`` of ``folder``, write its WAV and RTTM, and index it."""
+    file_rng = np.random.default_rng(np.random.SeedSequence([seed, folder, idx, 0]))
+    duration = float(file_rng.uniform(15.0, 45.0))
+    file_id = f"{folder}_{idx:03d}"
+    if folder == 0:
+        picks, profiles, ids = [], None, None
+    else:
+        pool = default_profile_pool()
+        picks = [int(i) for i in file_rng.choice(len(pool), size=folder, replace=False)]
+        profiles = [pool[i] for i in picks]
+        ids = [f"p{i}" for i in picks]
+    buf, turns = generate_mixture(
+        n_speakers=folder,
+        duration_s=duration,
+        overlap_fraction=overlap_fraction,
+        seed=np.random.SeedSequence([seed, folder, idx, 1]),
+        profiles=profiles,
+        speaker_ids=ids,
+        file_id=file_id,
+    )
+    folder_dir = out_dir / str(folder)
+    write_wav(folder_dir / f"{file_id}.wav", buf)
+    with open(folder_dir / f"{file_id}.rttm", "w", encoding="utf-8") as fh:
+        fh.write(emit_rttm(turns))
+    return ManifestEntry(
+        path=f"{folder}/{file_id}.wav",
+        folder=folder,
+        duration_s=round(len(buf) / RATE, 3),
+        speaker_ids=tuple(f"p{i}" for i in picks),
+        rttm_path=f"{folder}/{file_id}.rttm",
+        split=part,
+    )
+
+
 def generate_dataset(
     out_dir,
     layout: dict[int, int] | None = None,
@@ -363,12 +454,17 @@ def generate_dataset(
 ) -> CorpusManifest:
     """Write the WAV + RTTM corpus tree and its manifest.
 
-    Layout maps folder index (= speaker count) to file count. Every file
-    derives its own random stream from (seed, folder, index), so the
-    tree is byte-identical across runs and machines.
+    Layout maps folder index (= speaker count) to file count. File
+    ``idx`` of ``folder`` draws its length and voices from
+    ``SeedSequence([seed, folder, idx, 0])`` and its mixture from
+    ``SeedSequence([seed, folder, idx, 1])``, so the tree is
+    byte-identical across runs and machines. Files are generated on
+    every usable core; the tree does not depend on how many there are.
 
     Raises BadSplit on malformed fractions, BadSpeakerCount on folder
-    indices above 4, and IoError on filesystem failures.
+    indices above 4, ValueError on an overlap fraction outside
+    [0, 0.3], and IoError on filesystem failures; nothing is written
+    before the arguments are checked.
     """
     layout = dict(DEFAULT_LAYOUT) if layout is None else dict(layout)
     if len(split) != 3 or any(f < 0 for f in split) or abs(sum(split) - 1.0) > 1e-9:
@@ -378,64 +474,21 @@ def generate_dataset(
             raise BadSpeakerCount(f"folder index {folder} outside 0..4")
         if count < 0:
             raise ValueError("file counts must be >= 0")
+    if not 0.0 <= overlap_fraction <= 0.3:
+        raise ValueError("overlap_fraction must lie in [0, 0.3]")
 
     out_dir = Path(out_dir)
-    pool = default_profile_pool()
-    entries = []
+    jobs = []
+    for folder in sorted(layout):
+        n_train, n_val, _ = split_counts(layout[folder], split)
+        for idx in range(layout[folder]):
+            part = "train" if idx < n_train else "val" if idx < n_train + n_val else "test"
+            jobs.append((out_dir, seed, overlap_fraction, folder, idx, part))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        for folder in sorted(layout):
-            count = layout[folder]
-            if count == 0:
-                continue
-            folder_dir = out_dir / str(folder)
-            folder_dir.mkdir(exist_ok=True)
-            n_train, n_val, _ = split_counts(count, split)
-            for idx in range(count):
-                file_rng = np.random.default_rng(
-                    np.random.SeedSequence([seed, folder, idx, 0])
-                )
-                duration = float(file_rng.uniform(15.0, 45.0))
-                file_id = f"{folder}_{idx:03d}"
-                if folder == 0:
-                    picks, profiles, ids = [], None, None
-                else:
-                    picks = [
-                        int(i)
-                        for i in file_rng.choice(len(pool), size=folder, replace=False)
-                    ]
-                    profiles = [pool[i] for i in picks]
-                    ids = [f"p{i}" for i in picks]
-                buf, turns = generate_mixture(
-                    n_speakers=folder,
-                    duration_s=duration,
-                    overlap_fraction=overlap_fraction,
-                    seed=np.random.SeedSequence([seed, folder, idx, 1]),
-                    profiles=profiles,
-                    speaker_ids=ids,
-                    file_id=file_id,
-                )
-                wav_rel = f"{folder}/{file_id}.wav"
-                rttm_rel = f"{folder}/{file_id}.rttm"
-                write_wav(folder_dir / f"{file_id}.wav", buf)
-                with open(folder_dir / f"{file_id}.rttm", "w", encoding="utf-8") as fh:
-                    fh.write(emit_rttm(turns))
-                if idx < n_train:
-                    part = "train"
-                elif idx < n_train + n_val:
-                    part = "val"
-                else:
-                    part = "test"
-                entries.append(
-                    ManifestEntry(
-                        path=wav_rel,
-                        folder=folder,
-                        duration_s=round(len(buf) / RATE, 3),
-                        speaker_ids=tuple(f"p{i}" for i in picks),
-                        rttm_path=rttm_rel,
-                        split=part,
-                    )
-                )
+        for folder in sorted(f for f, count in layout.items() if count):
+            (out_dir / str(folder)).mkdir(exist_ok=True)
+        entries = _map_in_workers(_write_file, jobs)
     except OSError as exc:
         raise IoError(str(exc)) from exc
 

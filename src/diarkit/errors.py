@@ -1,4 +1,4 @@
-"""Shared exception types, and the number check every config dataclass runs.
+"""Shared exception types, and the type check every config dataclass runs.
 
 Every toolkit-specific failure subclasses DiarkitError so callers can catch
 one base; each also subclasses the closest builtin (ValueError, IndexError)
@@ -17,10 +17,13 @@ class DiarkitError(Exception):
 
 def check_numbers(config) -> None:
     """Raise ValueError unless each field of dataclass ``config`` annotated
-    ``int`` or ``float`` holds a finite number of that kind; a bool is no
-    number here, and ``int | None`` also takes None."""
+    ``int`` or ``float`` holds a finite number of that kind, and each one
+    annotated ``bool`` holds a bool; a bool is no number here, and
+    ``int | None`` also takes None."""
     for f in fields(config):
         kind, value = f.type.partition(" ")[0], getattr(config, f.name)
+        if kind == "bool" and not isinstance(value, bool):
+            raise ValueError(f"{f.name} must be true or false, got {value!r}")
         if kind not in ("int", "float") or (value is None and f.type.endswith("| None")):
             continue
         finite_real = kind == "float" and isinstance(value, Real) and math.isfinite(value)

@@ -106,6 +106,8 @@ NAN, INF = float("nan"), float("inf")
         ("diarize", {"embed": {"n_mels": 40.5}}, []),
         ("diarize", {"cluster": {"k": 2.5}}, []),
         ("diarize", {}, ["--threshold", "nan"]),
+        ("diarize", {"denoise": {"enabled": "no"}}, []),
+        ("diarize", {"denoise": {"enabled": 1}}, []),
     ],
 )
 def test_malformed_config_exits_4_before_any_audio_is_read(tmp_path, capsys, command, doc, flags):
@@ -321,6 +323,15 @@ def test_corpus_seed_env_fallback(tmp_path, monkeypatch, capsys):
     env_wav = next((tmp_path / "env").glob("1/*.wav"))
     flag_wav = next((tmp_path / "flag").glob("1/*.wav"))
     assert env_wav.read_bytes() == flag_wav.read_bytes()
+
+
+@pytest.mark.parametrize("overlap", ["0.5", "nan"])
+def test_corpus_bad_overlap_exits_4_and_writes_nothing(tmp_path, capsys, overlap):
+    out = tmp_path / "out"
+    argv = ["corpus", str(out), "--layout", "0:1,2:1", "--overlap", overlap]
+    assert main(argv) == EXIT_VALIDATION
+    assert "overlap_fraction" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- diarize ---

@@ -1,11 +1,17 @@
 """Synthetic corpus generation: voices, mixtures, and the dataset tree."""
 
+import math
+import multiprocessing
+import os
+import threading
 import tracemalloc
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
-from diarkit.audio_io import parse_rttm, read_wav
+from diarkit import corpus
+from diarkit.audio_io import emit_rttm, parse_rttm, read_wav, write_wav
 from diarkit.cluster import cosine_distance
 from diarkit.corpus import (
     _SYNTH_BLOCK,
@@ -247,3 +253,126 @@ class TestGenerateDataset:
         blocker.write_text("file, not a directory")
         with pytest.raises(IoError):
             generate_dataset(blocker / "tree", layout={1: 1}, seed=0)
+
+
+def _usable_cores():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def _mixture_counting_local_synth_calls(*args, **kwargs):
+    """generate_mixture's result and the synth_utterance calls made in this
+    process; a rebound name also shows that workers look it up at call time."""
+    calls = []
+    real = corpus.synth_utterance
+
+    def counted(*a, **k):
+        calls.append(1)
+        return real(*a, **k)
+
+    corpus.synth_utterance = counted
+    try:
+        buf, turns = generate_mixture(*args, **kwargs)
+    finally:
+        corpus.synth_utterance = real
+    return buf, turns, len(calls)
+
+
+class TestWorkerPool:
+    def test_tree_equals_a_file_by_file_rebuild(self, tmp_path):
+        # The per-file seeds that generate_dataset documents.
+        seed, layout = 13, {0: 2, 1: 2, 3: 3}
+        manifest = generate_dataset(tmp_path / "tree", layout=layout, seed=seed)
+        assert multiprocessing.active_children() == []
+        pool = default_profile_pool()
+        rebuilt = tmp_path / "rebuilt"
+        rebuilt.mkdir()
+        for e in manifest.entries:
+            idx = int(e.path.rsplit("_", 1)[1].removesuffix(".wav"))
+            file_rng = np.random.default_rng(np.random.SeedSequence([seed, e.folder, idx, 0]))
+            duration = float(file_rng.uniform(15.0, 45.0))
+            picks = [] if e.folder == 0 else [
+                int(i) for i in file_rng.choice(len(pool), size=e.folder, replace=False)
+            ]
+            buf, turns = generate_mixture(
+                e.folder,
+                duration,
+                seed=np.random.SeedSequence([seed, e.folder, idx, 1]),
+                profiles=[pool[i] for i in picks] if picks else None,
+                speaker_ids=[f"p{i}" for i in picks] if picks else None,
+                file_id=f"{e.folder}_{idx:03d}",
+            )
+            write_wav(rebuilt / "file.wav", buf)
+            assert (tmp_path / "tree" / e.path).read_bytes() == (rebuilt / "file.wav").read_bytes()
+            assert (tmp_path / "tree" / e.rttm_path).read_text(encoding="utf-8") == emit_rttm(turns)
+            assert e.speaker_ids == tuple(f"p{i}" for i in picks)
+        assert manifest.folder_counts() == layout
+
+    def test_long_mixture_equals_the_same_call_inside_a_worker(self):
+        buf, turns, calls = _mixture_counting_local_synth_calls(4, 120.0, seed=7)
+        assert sum(t.duration_s for t in turns) >= corpus._FORK_MIN_SPEECH_S
+        assert calls == (0 if _usable_cores() >= 2 else len(turns))
+        assert multiprocessing.active_children() == []
+
+        # Inside a multiprocessing child the helper runs inline.
+        with ProcessPoolExecutor(1, mp_context=multiprocessing.get_context("fork")) as ex:
+            job = ex.submit(_mixture_counting_local_synth_calls, 4, 120.0, seed=7)
+            w_buf, w_turns, w_calls = job.result(timeout=300)
+        assert w_calls == len(w_turns)
+        assert np.array_equal(buf.samples, w_buf.samples)
+        assert turns == w_turns
+        assert multiprocessing.active_children() == []
+
+    def test_short_mixture_runs_inline(self):
+        _, turns, calls = _mixture_counting_local_synth_calls(2, 20.0, seed=1)
+        assert calls == len(turns)
+
+    def test_workers_never_outnumber_usable_cores_or_jobs(self, monkeypatch):
+        started = []
+        real = ProcessPoolExecutor.__init__
+
+        def spy(self, max_workers=None, *args, **kwargs):
+            started.append(max_workers)
+            real(self, max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", spy)
+        jobs = [(i + 3, i) for i in range(7)]
+        want = [math.comb(*job) for job in jobs]
+        assert corpus._map_in_workers(math.comb, jobs) == want
+        assert corpus._map_in_workers(math.comb, jobs[:1]) == want[:1]
+        assert corpus._map_in_workers(math.comb, []) == []
+        assert started == ([min(_usable_cores(), 7)] if _usable_cores() >= 2 else [])
+        assert multiprocessing.active_children() == []
+
+    def test_runs_inline_beside_other_threads_and_without_fork(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", no_pool)
+        jobs = [(i + 3, i) for i in range(7)]
+        want = [math.comb(*job) for job in jobs]
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            assert corpus._map_in_workers(math.comb, jobs) == want
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert corpus._map_in_workers(math.comb, jobs) == want
+
+    def test_a_write_error_in_a_worker_raises_io_error(self, tmp_path):
+        (tmp_path / "tree" / "1" / "1_001.wav").mkdir(parents=True)
+        with pytest.raises(IoError):
+            generate_dataset(tmp_path / "tree", layout={1: 3}, seed=0)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("overlap", [0.5, -0.1, float("nan")])
+    def test_bad_overlap_is_rejected_before_anything_is_written(self, tmp_path, overlap):
+        with pytest.raises(ValueError):
+            generate_dataset(tmp_path / "out", layout={0: 1, 2: 1}, overlap_fraction=overlap)
+        assert not (tmp_path / "out").exists()

@@ -1,6 +1,10 @@
-"""Module layering: the library never reaches into the command line."""
+"""Module layering: the library never reaches into the command line, and
+only the corpus's worker helper reaches for processes."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import diarkit
@@ -31,3 +35,45 @@ def test_cli_and_pipeline_import_no_private_name():
     for name in ("cli.py", "pipeline.py"):
         private = [n for _, n in _imports_from(SRC / name) if n.startswith("_")]
         assert private == [], name
+
+
+def _process_imports(path):
+    """(enclosing function or None, line) for each import of multiprocessing
+    or ProcessPoolExecutor in the file."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        else:
+            names = []
+        if any(n.split(".")[0] == "multiprocessing" or n in (
+            "ProcessPoolExecutor", "concurrent.futures.process"
+        ) for n in names):
+            found.append((func, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_only_the_corpus_worker_helper_imports_multiprocessing():
+    for path in sorted(SRC.glob("*.py")):
+        for func, line in _process_imports(path):
+            assert (path.name, func) == ("corpus.py", "_map_in_workers"), (path.name, line)
+    assert _process_imports(SRC / "corpus.py") != []
+
+
+def test_importing_the_cli_leaves_multiprocessing_unloaded():
+    code = "import sys, diarkit.cli; print('multiprocessing' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert out.stdout.strip() == "False"
