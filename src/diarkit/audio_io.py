@@ -53,6 +53,15 @@ _CHUNK_OUT = 1024
 _WRITE_BLOCK = 1 << 16
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity set where the platform
+    has one, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _check_finite(samples: np.ndarray) -> None:
     # NaN and +-inf propagate through min and max; no N-byte mask.
     if len(samples) and not (np.isfinite(samples.min()) and np.isfinite(samples.max())):

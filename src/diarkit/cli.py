@@ -11,6 +11,7 @@ error, 4 numeric or validation error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -352,9 +353,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first ``main`` call and kept for the next:
+    building takes far longer than a parse, and ``parse_args`` leaves the
+    parser as it found it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except PairingError as exc:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import threading
 from dataclasses import dataclass
 from itertools import starmap
@@ -18,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import AudioBuffer, Turn, emit_rttm, write_wav
+from .audio_io import AudioBuffer, Turn, _usable_cores, emit_rttm, write_wav
 from .errors import BadSpeakerCount, BadSplit, IoError, TooShort
 
 RATE = 16_000
@@ -185,11 +184,7 @@ def _map_in_workers(fn, jobs: list[tuple]) -> list:
     other threads are alive, since a forked copy of a threaded process
     can inherit a lock that no thread will release.
     """
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cores = os.cpu_count() or 1
-    workers = min(cores, len(jobs))
+    workers = min(_usable_cores(), len(jobs))
     if workers >= 2 and threading.active_count() == 1:
         import multiprocessing
         from concurrent.futures import ProcessPoolExecutor

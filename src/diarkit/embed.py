@@ -7,7 +7,8 @@ only ever see spectral shape, not loudness.
 
 A recording is framed once into a table of centred cepstra, one row per
 frame, reading its samples a block at a time through ``read(lo, hi)``,
-from an AudioBuffer or an open WavSource alike. Deltas are a regression
+from an AudioBuffer or an open WavSource alike, with one thread per
+usable core framing its share of the blocks. Deltas are a regression
 over the cepstra two frames either side, so a segment's delta and
 delta-delta rows are rebuilt from the cepstral rows around it when it is
 pooled; no table holds them for the whole recording.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import struct
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -27,7 +29,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.fft import dct
 
-from .audio_io import AudioBuffer, WavSource
+from .audio_io import AudioBuffer, WavSource, _usable_cores
 from .errors import (
     CorruptHeader,
     DimMismatch,
@@ -41,9 +43,10 @@ from .vad import _BLOCK_FRAMES, Segment, _frame_blocks
 _PRE_EMPHASIS = 0.97
 _MIN_NFFT = 512
 _LOG_FLOOR = 1e-30
-# MFCC frames per block. Past one block every block holds at least half
-# this many rows, far above the few rows at which BLAS changes path.
-_MFCC_BLOCK = 512
+# MFCC frames per block, each worker's scratch sized to one. Past one
+# block every block holds at least half this many rows, far above the few
+# rows at which BLAS changes path.
+_MFCC_BLOCK = 256
 _DELTA_SPAN = 2  # a delta regresses over this many frames either side
 
 
@@ -147,13 +150,16 @@ def _buffer_features(
 
     Frames are read in blocks of ``_MFCC_BLOCK``: each block's samples,
     with one sample of history, are read once through ``buf.read`` into a
-    reused float64 buffer and pre-emphasised there, then windowed into the
-    leading columns of a reused zero-padded FFT input and transformed to
-    rows of the preallocated cepstra table.
+    float64 buffer and pre-emphasised there, then windowed into the
+    leading columns of a zero-padded FFT input and transformed to rows of
+    the preallocated cepstra table. One worker runs per usable core: the
+    calling thread takes every ``workers``-th block from the first and
+    pool threads the others, each block writing only its own rows. A
+    block's numpy, FFT and BLAS calls release the GIL.
 
-    The cepstral mean is taken over the whole buffer, so features of a
-    segment depend on the recording it came from but not on where the
-    segment boundaries fall.
+    The cepstral mean is taken over the whole buffer, once every worker
+    has joined, so features of a segment depend on the recording it came
+    from but not on where the segment boundaries fall.
     """
     rate = buf.sample_rate_hz
     frame = int(round(rate * frame_ms / 1000.0))
@@ -167,32 +173,53 @@ def _buffer_features(
     nfft = max(_MIN_NFFT, 1 << (frame - 1).bit_length())
     fb_t = _mel_filterbank(n_mels, nfft, rate).T
     cepstra = np.empty((len(starts), n_coeffs))
-    # The samples, their pre-emphasis product, the zero-padded FFT input
-    # and the power spectra are reused: freed and allocated anew, the
-    # allocator hands them back to the OS and faults them in again.
-    # Columns of ``padded`` past ``frame`` stay zero.
-    padded = np.zeros((min(len(starts), _MFCC_BLOCK), nfft))
-    power = np.empty((len(padded), nfft // 2 + 1))
-    samples = np.empty((len(padded) - 1) * hop + frame + 1)
-    product = np.empty(len(samples) - 1)
-    for lo, hi in _frame_blocks(len(starts), _MFCC_BLOCK):
-        first, end = int(starts[lo]), int(starts[hi - 1]) + frame
-        start = max(first - 1, 0)
-        x = samples[: end - start]
-        x[...] = buf.read(start, end)
-        p = np.multiply(x[:-1], _PRE_EMPHASIS, out=product[: len(x) - 1])
-        x[1:] -= p  # x[0] is history, or sample 0 as it is
-        frames = sliding_window_view(x[first - start :], frame)[::hop]
-        n = hi - lo
-        np.multiply(frames, window, out=padded[:n, :frame])
-        # The spectrum is made per block (rfft takes out= only from numpy
-        # 2.0) and freed before the next block's.
-        spectrum = np.fft.rfft(padded[:n], axis=1)
-        np.square(np.abs(spectrum, out=power[:n]), out=power[:n])
-        del spectrum
-        logmel = power[:n] @ fb_t  # one call per block: BLAS paths differ by size
-        np.log(np.maximum(logmel, _LOG_FLOOR, out=logmel), out=logmel)
-        cepstra[lo:hi] = dct(logmel, type=2, norm="ortho", axis=1)[:, 1 : n_coeffs + 1]
+    blocks = list(_frame_blocks(len(starts), _MFCC_BLOCK))
+    workers = min(_usable_cores(), len(blocks))
+    rows = min(len(starts), _MFCC_BLOCK)
+
+    def scratch():
+        # (zero-padded FFT input, spectrum, power, mel, samples, pre-emphasis
+        # product), allocated here in the calling thread and reused for
+        # every block of one worker: allocated per block, or inside a pool
+        # thread's own heap arena, they fault in fresh pages again.
+        # Columns of the FFT input past ``frame`` stay zero.
+        n_samples = (rows - 1) * hop + frame + 1
+        return (
+            np.zeros((rows, nfft)),
+            np.empty((rows, nfft // 2 + 1), dtype=np.complex128),
+            np.empty((rows, nfft // 2 + 1)),
+            np.empty((rows, n_mels)),
+            np.empty(n_samples),
+            np.empty(n_samples - 1),
+        )
+
+    def run(share, padded, spectrum, power, mel, samples, product):
+        for lo, hi in share:
+            first, end = int(starts[lo]), int(starts[hi - 1]) + frame
+            start = max(first - 1, 0)
+            x = samples[: end - start]
+            x[...] = buf.read(start, end)
+            p = np.multiply(x[:-1], _PRE_EMPHASIS, out=product[: len(x) - 1])
+            x[1:] -= p  # x[0] is history, or sample 0 as it is
+            frames = sliding_window_view(x[first - start :], frame)[::hop]
+            n = hi - lo
+            np.multiply(frames, window, out=padded[:n, :frame])
+            np.fft.rfft(padded[:n], axis=1, out=spectrum[:n])
+            np.square(np.abs(spectrum[:n], out=power[:n]), out=power[:n])
+            # One call per block: BLAS paths differ by size.
+            logmel = np.matmul(power[:n], fb_t, out=mel[:n])
+            np.log(np.maximum(logmel, _LOG_FLOOR, out=logmel), out=logmel)
+            cepstra[lo:hi] = dct(logmel, type=2, norm="ortho", axis=1)[:, 1 : n_coeffs + 1]
+
+    shares = [(blocks[i::workers], *scratch()) for i in range(workers)]
+    if workers == 1:
+        run(*shares[0])
+    else:
+        with ThreadPoolExecutor(workers - 1) as pool:
+            futures = [pool.submit(run, *share) for share in shares[1:]]
+            run(*shares[0])
+            for f in futures:
+                f.result()
     cepstra -= np.mean(cepstra, axis=0, keepdims=True)
     return starts, cepstra
 

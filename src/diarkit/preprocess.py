@@ -126,6 +126,24 @@ def _running_sums(ext: np.ndarray, size: int, carry: np.ndarray | None = None) -
     return np.cumsum(sums, axis=0, out=sums)
 
 
+def _read_frames(src, firsts: np.ndarray, frame_len: int) -> np.ndarray:
+    """Rows of the ``frame_len``-sample frames of ``src`` that start at
+    ``firsts``, in that order. Frames that overlap or touch are read as one
+    run, one ``read`` a run, into one float32 buffer."""
+    ordered = np.sort(firsts)
+    cut = np.flatnonzero(ordered[1:] > ordered[:-1] + frame_len) + 1
+    los = ordered[np.r_[0, cut]]
+    his = ordered[np.r_[cut - 1, -1]] + frame_len
+    # Runs lie end to end in x, run r ending at ends[r], so a frame of run
+    # r starts at ends[r] - his[r] plus its own first sample.
+    ends = np.cumsum(his - los)
+    x = np.empty(ends[-1], dtype=np.float32)
+    for lo, hi, end in zip(los.tolist(), his.tolist(), ends.tolist()):
+        x[end - (hi - lo) : end] = src.read(lo, hi)
+    run = np.searchsorted(los, firsts, side="right") - 1
+    return sliding_window_view(x, frame_len)[(ends - his)[run] + firsts]
+
+
 def spectral_gate_denoise(buf: AudioBuffer | WavSource, params: DenoiseParams | None = None) -> AudioBuffer:
     """Attenuate time-frequency cells below a per-bin percentile noise floor.
     An open WavSource gives the same output as its samples in an AudioBuffer."""
@@ -172,13 +190,14 @@ def _gate_into(src, p: DenoiseParams, out: np.ndarray) -> None:
         frame_energy[i : i + len(k)] = np.sum(np.abs(spectra(k[0], k[-1] + 1)) ** 2, axis=1)
     k_quiet = max(1, int(round(p.noise_percentile * len(interior))))
     quiet = interior[np.argsort(frame_energy, kind="stable")[:k_quiet]]
-    # Interior frames lie inside the samples. They are read and their
+    # Interior frames lie inside the samples. A batch's frames are read as
+    # runs of overlapping or adjacent frames, one read a run, and their
     # power rows summed one after another in quiet order, as np.mean over
     # all of them would.
     power_sum = np.zeros(n_bins)
     for i in range(0, len(quiet), _BLOCK_FRAMES):
-        frames = [src.read(s - p.frame_len, s) for s in quiet[i : i + _BLOCK_FRAMES] * p.hop]
-        power = np.abs(np.fft.rfft(np.stack(frames) * window, axis=1)) ** 2
+        frames = _read_frames(src, quiet[i : i + _BLOCK_FRAMES] * p.hop - p.frame_len, p.frame_len)
+        power = np.abs(np.fft.rfft(frames * window, axis=1)) ** 2
         power_sum = np.add.reduce(np.vstack([power_sum, power]), axis=0)
     floor = np.sqrt(power_sum / len(quiet))
     # A bin whose floor towers over the median bin is carrying a persistent

@@ -876,3 +876,32 @@ def test_train_toy_same_seed_same_history(corpus_dir, tmp_path):
         )
         assert rc == EXIT_OK
     assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+def test_two_calls_in_one_process_equal_two_fresh_processes(mixture_wav, capsys):
+    # main keeps its parser between calls; the first call's flags must
+    # not reach the second.
+    calls = [
+        ["diarize", str(mixture_wav), "--num-speakers", "4", "--denoise"],
+        ["diarize", str(mixture_wav)],
+    ]
+    capsys.readouterr()
+    in_process = []
+    for argv in calls:
+        assert main(argv) == EXIT_OK
+        in_process.append(capsys.readouterr().out)
+    env = {**os.environ, "PYTHONPATH": str(Path(diarkit.__file__).resolve().parents[1])}
+    fresh = [
+        subprocess.run(
+            [sys.executable, "-m", "diarkit", *argv],
+            capture_output=True, text=True, env=env, timeout=300, check=True,
+        ).stdout
+        for argv in calls
+    ]
+    assert in_process == fresh
+    assert len(_speaker_ids(fresh[0])) == 4 and len(_speaker_ids(fresh[1])) < 4
+    assert diarkit.cli._parser() is diarkit.cli._parser()
+    first = diarkit.cli._parser().parse_args(calls[0])
+    second = diarkit.cli._parser().parse_args(calls[1])
+    assert (first.num_speakers, first.denoise) == (4, True)
+    assert (second.num_speakers, second.denoise) == (None, False)

@@ -1,12 +1,15 @@
 """Block framing in VAD and MFCC against whole-buffer fancy-index oracles."""
 
 import gc
+import sys
+import threading
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
+from diarkit import embed
 from diarkit.audio_io import AudioBuffer, read_wav, write_wav
 from diarkit.corpus import generate_mixture
 from diarkit.embed import (
@@ -82,6 +85,44 @@ def test_buffer_features_equal_the_fancy_index_oracle(rate):
         want_starts, want = buffer_features_oracle(buf, 40, 13, 25.0, 10.0)
         assert np.array_equal(starts, want_starts), n
         assert np.array_equal(_feature_rows(cepstra, 0, len(cepstra)), want), n
+
+
+def _pool_sizes(monkeypatch, cores):
+    """Patch the front end to see ``cores`` usable cores; the list fills
+    with the thread count of every pool it starts."""
+    started = []
+
+    class Spy(embed.ThreadPoolExecutor):
+        def __init__(self, max_workers, *args, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(embed, "_usable_cores", lambda: cores)
+    monkeypatch.setattr(embed, "ThreadPoolExecutor", Spy)
+    return started
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_buffer_features_on_every_worker_count_equal_the_oracle(monkeypatch, cores):
+    # One frame, around one and two blocks, and more blocks than workers,
+    # with threads switched far more often than by default.
+    started = _pool_sizes(monkeypatch, cores)
+    frame, hop = _frame_hop(16000, 25.0, 10.0)
+    counts = (1, _MFCC_BLOCK - 1, _MFCC_BLOCK, _MFCC_BLOCK + 1, 2 * _MFCC_BLOCK + 1, 5 * _MFCC_BLOCK + 3)
+    for i, k in enumerate(counts):
+        buf = _signal((k - 1) * hop + frame, 16000, seed=60 + i)
+        before, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            starts, cepstra = _buffer_features(buf, 40, 13, 25.0, 10.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+        want_starts, want = buffer_features_oracle(buf, 40, 13, 25.0, 10.0)
+        assert np.array_equal(starts, want_starts), k
+        assert np.array_equal(_feature_rows(cepstra, 0, len(cepstra)), want), k
+    blocks = [-(-k // _MFCC_BLOCK) for k in counts]
+    assert started == [min(cores, b) - 1 for b in blocks if min(cores, b) > 1]
 
 
 def test_spectral_flatness_differs_from_the_oracle_only_by_rounding():

@@ -1,10 +1,12 @@
 """Diarizing an open WAV a block at a time against its whole-file buffer."""
 
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from diarkit import embed
 from diarkit.audio_io import _WRITE_BLOCK, AudioBuffer, WavSource, emit_rttm, read_wav, write_wav
 from diarkit.cli import (
     EXIT_OK,
@@ -15,12 +17,13 @@ from diarkit.cli import (
     embed_segments,
     main,
 )
-from diarkit.corpus import generate_mixture
+from diarkit.corpus import generate_dataset, generate_mixture
 from diarkit.embed import _MFCC_BLOCK, _buffer_features, write_embeddings
 from diarkit.errors import CorruptHeader
 from diarkit.vad import _BLOCK_FRAMES, _SUM_LEAF, energy_vad
 
 from conftest import tone
+from oracles import buffer_features_oracle
 from test_audio_io import _fmt, _riff
 
 
@@ -111,6 +114,62 @@ def test_vad_and_mfcc_read_from_the_open_file_equal_the_buffer(tmp_path, rate):
             want = _buffer_features(buf, 40, 13, 25.0, 10.0)
             assert np.array_equal(got[0], want[0]), (len(buf), name)
             assert np.array_equal(got[1], want[1]), (len(buf), name)
+
+
+def _wav(tmp_path, name, values, code):
+    """A 16 kHz WAV of raw PCM16 codes (code 1) or float32 values (code 3)."""
+    wav = tmp_path / name
+    wav.write_bytes(_riff(_fmt(code=code, bits=8 * values.itemsize), (b"data", values.tobytes())))
+    return wav
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_mfcc_from_the_open_file_equals_the_oracle_on_every_worker_count(
+    tmp_path, monkeypatch, cores
+):
+    monkeypatch.setattr(embed, "_usable_cores", lambda: cores)
+    for k in (_MFCC_BLOCK - 1, _MFCC_BLOCK + 1, 2 * _MFCC_BLOCK + 1, 4 * _MFCC_BLOCK + 3):
+        sig = _signal((k - 1) * 160 + 400, 16000, seed=k).samples
+        pcm = np.clip(np.rint(sig.astype(np.float64) * 32768.0), -32768, 32767).astype("<i2")
+        for code, values in ((1, pcm), (3, sig.astype("<f4"))):
+            wav = _wav(tmp_path, f"{k}-{code}.wav", values, code)
+            with WavSource(wav) as src:
+                starts, cepstra = _buffer_features(src, 40, 13, 25.0, 10.0)
+            want_starts, want = buffer_features_oracle(read_wav(wav), 40, 13, 25.0, 10.0)
+            assert len(starts) == k and np.array_equal(starts, want_starts), (k, code)
+            assert np.array_equal(cepstra, want[:, :13]), (k, code)
+
+
+@pytest.mark.parametrize("cores", [2, 3])
+@pytest.mark.parametrize("block", [3, 4])
+def test_a_nan_in_a_late_block_raises_through_the_worker_pool(tmp_path, monkeypatch, cores, block):
+    # Five blocks: with two workers the calling thread frames blocks 0, 2
+    # and 4, with three blocks 0 and 3, so on each worker count the NaN
+    # is met once by a pool thread and once by the calling thread.
+    monkeypatch.setattr(embed, "_usable_cores", lambda: cores)
+    values = _signal((5 * _MFCC_BLOCK - 1) * 160 + 400, 16000, seed=12).samples.astype("<f4")
+    values[(block * _MFCC_BLOCK + 100) * 160] = np.nan
+    wav = _wav(tmp_path, "nan.wav", values, 3)
+    before = threading.active_count()
+    with WavSource(wav) as src, pytest.raises(ValueError, match="must be finite"):
+        _buffer_features(src, 40, 13, 25.0, 10.0)
+    assert threading.active_count() == before
+
+
+def test_a_manifest_on_two_jobs_writes_the_rttms_of_one(tmp_path, capsys):
+    # Each file's front end starts its own pool inside a --jobs thread.
+    generate_dataset(tmp_path / "tree", layout={1: 1, 2: 1, 3: 1}, seed=4)
+    manifest = str(tmp_path / "tree" / "manifest.json")
+    before = threading.active_count()
+    for jobs in ("1", "2"):
+        argv = ["diarize", manifest, "--out-dir", str(tmp_path / jobs), "--jobs", jobs]
+        assert main(argv) == EXIT_OK
+    assert threading.active_count() == before
+    one = sorted((tmp_path / "1").glob("*.rttm"))
+    assert len(one) == 3
+    for path in one:
+        assert (tmp_path / "2" / path.name).read_bytes() == path.read_bytes(), path.name
+    capsys.readouterr()
 
 
 def test_diarizing_a_long_file_holds_no_copy_of_its_samples(tmp_path):
