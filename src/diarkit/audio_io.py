@@ -113,6 +113,8 @@ class Turn:
     duration_s: float
 
     def __post_init__(self):
+        if not math.isfinite(self.onset_s + self.duration_s):
+            raise ValueError(f"onset_s {self.onset_s} + duration_s {self.duration_s} must be finite")
         if self.onset_s < 0:
             raise ValueError("onset_s must be >= 0")
         if self.duration_s <= 0:
@@ -300,6 +302,8 @@ def parse_rttm(text: str) -> list[Turn]:
             duration = float(fields[4])
         except ValueError:
             raise NonNumericTime(line_no, f"bad onset/duration in {line!r}") from None
+        if not math.isfinite(onset + duration):
+            raise NonNumericTime(line_no, f"onset/duration must be finite in {line!r}")
         if duration <= 0:
             raise NonPositiveDuration(line_no, f"duration {duration} must be > 0")
         if onset < 0:

@@ -7,12 +7,17 @@ each interval contributes duration * (max(Nref, Nhyp) - Ncorrect) split
 into missed, false-alarm, and confusion time. Overlapping speech is
 counted per speaker, so DER can exceed 1.
 
-The partition is one sweep over the sorted boundaries that keeps a
-count of active turns per speaker, O(b log b) in the number of
-boundaries; the no-score collar test bisects the sorted reference
-edges for the nearest one on each side. One tally of a partition sums
-each (reference, hypothesis) speaker pair's overlap and solves the
-mapping once, and DER, JER, and purity all read it. ``pooled_report``
+The partition is held as arrays: the kept intervals' durations and two
+(intervals, speakers) masks of who speaks in each, built from the
+sorted unique boundaries with searchsorted and a running count of
+active turns per speaker, O(b log b + b s) in b boundaries and s
+speakers. The no-score collar test searches the sorted reference edges
+for the nearest one on each side. One tally of a partition sums each
+(reference, hypothesis) speaker pair's overlap and solves the mapping
+once, and DER, JER, and purity all read it. Every time total is added
+left to right in interval order with ``np.cumsum``, the order a Python
+loop adds in, so the scores do not depend on numpy's pairwise
+summation. ``pooled_report``
 scores a set of files the way ``diarkit evaluate`` does: each file is
 partitioned once, or twice with a collar (collared for DER, uncollared
 for JER and purity).
@@ -21,8 +26,8 @@ for JER and purity).
 from __future__ import annotations
 
 import json
-from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
@@ -159,86 +164,136 @@ def _single_file_id(ref: list[Turn], hyp: list[Turn]) -> None:
         raise MixedFiles(f"turns span multiple files: {sorted(ids)}")
 
 
+class _Intervals(NamedTuple):
+    """The kept elementary intervals of a partition, in time order: their
+    durations hi - lo, and (intervals, speakers) masks of who speaks in
+    each, over the reference and hypothesis speakers active in any kept
+    interval (r_spk, h_spk, sorted)."""
+
+    d: np.ndarray
+    ref: np.ndarray
+    hyp: np.ndarray
+    r_spk: list
+    h_spk: list
+
+
+def _turn_arrays(turns: list[Turn]) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted speaker names, and each turn's onset, offset, and speaker index."""
+    names = sorted({t.speaker_id for t in turns})
+    col = {s: i for i, s in enumerate(names)}
+    on = np.array([t.onset_s for t in turns], dtype=np.float64)
+    off = on + np.array([t.duration_s for t in turns], dtype=np.float64)
+    who = np.array([col[t.speaker_id] for t in turns], dtype=np.intp)
+    return names, on, off, who
+
+
+def _active(bounds: np.ndarray, on, off, who, n_spk: int) -> np.ndarray:
+    """(len(bounds) - 1, n_spk) mask of the speakers with a turn over
+    each interval between consecutive bounds: per speaker, a running
+    count of its turns, one up at an onset's bound and one down at an
+    offset's."""
+    n = len(bounds)
+    first, last = np.searchsorted(bounds, on), np.searchsorted(bounds, off)
+    act = np.empty((n_spk, max(n - 1, 0)), dtype=bool)
+    for s in range(n_spk):
+        mine = who == s
+        count = np.bincount(first[mine], minlength=n) - np.bincount(last[mine], minlength=n)
+        act[s] = np.cumsum(count)[:-1] > 0
+    return act.T
+
+
+def _intervals(ref: list[Turn], hyp: list[Turn], collar_s: float = 0.0) -> _Intervals:
+    """Elementary intervals with constant speaker sets.
+
+    The bounds are every turn's onset and offset, and with a collar each
+    reference edge +- collar_s. Intervals whose midpoint falls within
+    collar_s of any reference turn boundary are excluded entirely
+    (numerator and denominator); only the nearest reference edge on
+    each side of the midpoint, found by searchsorted, needs checking.
+    Intervals where no one speaks are dropped too, and so are speakers
+    active in no kept interval: an all-zero row of the speaker
+    assignment can change which of two tied columns the others get.
+    """
+    r_names, r_on, r_off, r_who = _turn_arrays(ref)
+    h_names, h_on, h_off, h_who = _turn_arrays(hyp)
+    ref_edges = np.unique(np.concatenate((r_on, r_off)))
+    parts = [ref_edges, h_on, h_off]
+    if collar_s > 0.0:
+        parts += [ref_edges - collar_s, ref_edges + collar_s]
+    bounds = np.unique(np.concatenate(parts))
+    lo, hi = bounds[:-1], bounds[1:]
+    r_act = _active(bounds, r_on, r_off, r_who, len(r_names))
+    h_act = _active(bounds, h_on, h_off, h_who, len(h_names))
+    keep = r_act.any(axis=1) | h_act.any(axis=1)
+    if collar_s > 0.0:
+        mid = (lo + hi) / 2.0
+        j = np.searchsorted(ref_edges, mid)
+        edges = np.concatenate(([-np.inf], ref_edges, [np.inf]))
+        keep &= (np.abs(mid - edges[j]) >= collar_s) & (np.abs(mid - edges[j + 1]) >= collar_s)
+    r_act, h_act = r_act[keep], h_act[keep]
+    r_used, h_used = r_act.any(axis=0), h_act.any(axis=0)
+    return _Intervals(
+        (hi - lo)[keep],
+        r_act[:, r_used],
+        h_act[:, h_used],
+        list(compress(r_names, r_used)),
+        list(compress(h_names, h_used)),
+    )
+
+
 def _partition(
     ref: list[Turn], hyp: list[Turn], collar_s: float = 0.0
 ) -> list[tuple[float, frozenset, frozenset]]:
-    """Elementary intervals with constant speaker sets.
+    """``_intervals`` as (duration, reference speakers, hypothesis
+    speakers) tuples, one per kept interval."""
+    iv = _intervals(ref, hyp, collar_s)
+    return [
+        (d, frozenset(compress(iv.r_spk, r)), frozenset(compress(iv.h_spk, h)))
+        for d, r, h in zip(iv.d.tolist(), iv.ref.tolist(), iv.hyp.tolist())
+    ]
 
-    One sweep over the sorted bounds: each bound applies its turns'
-    onsets and offsets to per-speaker counts of active turns, one
-    count table for the reference and one for the hypothesis. Intervals
-    whose midpoint falls within collar_s of any reference turn boundary
-    are excluded entirely (numerator and denominator); only the nearest
-    reference edge on each side of the midpoint, found by bisection,
-    needs checking.
-    """
-    steps: dict[float, list[tuple[dict, str, int]]] = {}
-    counts: tuple[dict, dict] = ({}, {})
-    for active, turns in zip(counts, (ref, hyp)):
-        for t in turns:
-            steps.setdefault(t.onset_s, []).append((active, t.speaker_id, 1))
-            steps.setdefault(t.offset_s, []).append((active, t.speaker_id, -1))
-    edges = set(steps)
-    ref_edges = sorted({b for t in ref for b in (t.onset_s, t.offset_s)})
-    if collar_s > 0.0:
-        for b in ref_edges:
-            edges.add(b - collar_s)
-            edges.add(b + collar_s)
-    bounds = sorted(edges)
 
-    out = []
-    r_act = h_act = frozenset()
-    for lo, hi in zip(bounds, bounds[1:]):
-        if lo in steps:
-            for active, spk, step in steps[lo]:
-                active[spk] = active.get(spk, 0) + step
-            r_act, h_act = (frozenset(s for s, n in c.items() if n > 0) for c in counts)
-        if collar_s > 0.0:
-            mid = (lo + hi) / 2.0
-            j = bisect_left(ref_edges, mid)
-            if any(abs(mid - b) < collar_s for b in ref_edges[max(0, j - 1) : j + 1]):
-                continue
-        if r_act or h_act:
-            out.append((hi - lo, r_act, h_act))
-    return out
+def _in_order(terms: np.ndarray) -> float:
+    """The sum of terms added left to right, as a Python loop adds them;
+    np.sum adds pairwise, which moves the last bits."""
+    return float(np.cumsum(terms)[-1]) if len(terms) else 0.0
 
 
 class _Tally(NamedTuple):
-    """A partition with each side's speech counted per speaker, the time
-    each (r_spk[i], h_spk[j]) pair speaks together summed in interval
-    order, the overlap-maximizing speaker map, and the hypothesis time
-    credited to the reference speaker each hypothesis speaker overlaps
-    most."""
+    """Kept intervals with each side's speech counted per speaker, the
+    time each (r_spk[i], h_spk[j]) pair speaks together summed in
+    interval order, the overlap-maximizing speaker map, and the
+    hypothesis time credited to the reference speaker each hypothesis
+    speaker overlaps most."""
 
-    intervals: list
+    intervals: _Intervals
     ref_s: float
     hyp_s: float
-    r_spk: list
-    h_spk: list
     overlap: np.ndarray
     mapping: dict
     credit: float
 
 
-def _tally(intervals: list[tuple[float, frozenset, frozenset]]) -> _Tally:
-    r_spk = sorted({s for _, r, _ in intervals for s in r})
-    h_spk = sorted({s for _, _, h in intervals for s in h})
-    row, col = ({s: i for i, s in enumerate(spk)} for spk in (r_spk, h_spk))
-    overlap = np.zeros((len(r_spk), len(h_spk)))
-    for d, r_act, h_act in intervals:
-        for r in r_act:
-            for h in h_act:
-                overlap[row[r], col[h]] += d
+def _tally(iv: _Intervals) -> _Tally:
+    overlap = np.zeros((len(iv.r_spk), len(iv.h_spk)))
+    # Pair by pair, over the intervals where both speak, so nothing the
+    # size of (intervals, hypothesis speakers) is summed.
+    for i in range(len(iv.r_spk)):
+        d, hyp = iv.d[iv.ref[:, i]], iv.hyp[iv.ref[:, i]]
+        for j in np.flatnonzero(hyp.any(axis=0)):
+            overlap[i, j] = _in_order(d[hyp[:, j]])
     pairs = hungarian_assign(-overlap) if overlap.size else {}
-    mapping = {r_spk[i]: h_spk[j] for i, j in pairs.items() if overlap[i, j] > 0.0}
-    ref_s = sum(d * len(r) for d, r, _ in intervals)
-    hyp_s = sum(d * len(h) for d, _, h in intervals)
+    mapping = {
+        iv.r_spk[i]: iv.h_spk[j] for i, j in pairs.items() if overlap[i, j] > 0.0
+    }
+    ref_s = _in_order(iv.d * iv.ref.sum(axis=1))
+    hyp_s = _in_order(iv.d * iv.hyp.sum(axis=1))
     credit = 0.0
     for best in overlap.max(axis=0, initial=0.0).tolist():
         credit += best
     # Summed in another order than hyp_s, credit can pass it by an ulp.
     credit = min(credit, hyp_s)
-    return _Tally(intervals, ref_s, hyp_s, r_spk, h_spk, overlap, mapping, credit)
+    return _Tally(iv, ref_s, hyp_s, overlap, mapping, credit)
 
 
 def _check_collar(collar_s: float) -> None:
@@ -249,13 +304,14 @@ def _check_collar(collar_s: float) -> None:
 def _der(t: _Tally) -> DerReport:
     if t.ref_s <= 0.0:
         raise EmptyReference("reference contains no scored speech")
-    missed = fa = confusion = 0.0
-    for d, r_act, h_act in t.intervals:
-        n_ref, n_hyp = len(r_act), len(h_act)
-        n_correct = sum(1 for r, h in t.mapping.items() if r in r_act and h in h_act)
-        missed += d * max(0, n_ref - n_hyp)
-        fa += d * max(0, n_hyp - n_ref)
-        confusion += d * (min(n_ref, n_hyp) - n_correct)
+    iv = t.intervals
+    n_ref, n_hyp = iv.ref.sum(axis=1), iv.hyp.sum(axis=1)
+    n_correct = np.zeros_like(n_ref)
+    for r, h in t.mapping.items():
+        n_correct += iv.ref[:, iv.r_spk.index(r)] & iv.hyp[:, iv.h_spk.index(h)]
+    missed = _in_order(iv.d * np.maximum(0, n_ref - n_hyp))
+    fa = _in_order(iv.d * np.maximum(0, n_hyp - n_ref))
+    confusion = _in_order(iv.d * (np.minimum(n_ref, n_hyp) - n_correct))
     der = (missed + fa + confusion) / t.ref_s
     return DerReport(missed, fa, confusion, t.ref_s, der, t.mapping)
 
@@ -263,14 +319,16 @@ def _der(t: _Tally) -> DerReport:
 def _jer(t: _Tally) -> float:
     if t.ref_s <= 0.0:
         raise EmptyReference("reference contains no speech")
+    iv = t.intervals
     errors = []
-    for i, r in enumerate(t.r_spk):
+    for i, r in enumerate(iv.r_spk):
         h = t.mapping.get(r)
         if h is None:
             errors.append(1.0)
             continue
-        union = sum(d for d, ra, ha in t.intervals if r in ra or h in ha)
-        errors.append(1.0 - float(t.overlap[i, t.h_spk.index(h)]) / union)
+        j = iv.h_spk.index(h)
+        union = _in_order(iv.d[iv.ref[:, i] | iv.hyp[:, j]])
+        errors.append(1.0 - float(t.overlap[i, j]) / union)
     return float(np.mean(errors))
 
 
@@ -285,7 +343,7 @@ def compute_der(
     """
     _check_collar(collar_s)
     _single_file_id(ref, hyp)
-    return _der(_tally(_partition(ref, hyp, collar_s)))
+    return _der(_tally(_intervals(ref, hyp, collar_s)))
 
 
 def compute_jer(ref: list[Turn], hyp: list[Turn]) -> float:
@@ -296,7 +354,7 @@ def compute_jer(ref: list[Turn], hyp: list[Turn]) -> float:
     averaged over reference speakers.
     """
     _single_file_id(ref, hyp)
-    return _jer(_tally(_partition(ref, hyp)))
+    return _jer(_tally(_intervals(ref, hyp)))
 
 
 def pooled_report(
@@ -321,8 +379,8 @@ def pooled_report(
     for fid in sorted(files):
         ref, hyp = files[fid]
         _single_file_id(ref, hyp)
-        plain = _tally(_partition(ref, hyp))
-        scored = _tally(_partition(ref, hyp, collar_s)) if collar_s > 0.0 else plain
+        plain = _tally(_intervals(ref, hyp))
+        scored = _tally(_intervals(ref, hyp, collar_s)) if collar_s > 0.0 else plain
         credit += plain.credit
         hyp_s += plain.hyp_s
         if scored.ref_s <= 0.0:
@@ -389,7 +447,7 @@ def turns_purity(ref: list[Turn], hyp: list[Turn]) -> float:
     hypothesis speech.
     """
     _single_file_id(ref, hyp)
-    t = _tally(_partition(ref, hyp))
+    t = _tally(_intervals(ref, hyp))
     return t.credit / t.hyp_s if t.hyp_s > 0.0 else 0.0
 
 

@@ -265,6 +265,124 @@ def partition_oracle(ref, hyp, collar_s=0.0):
     return out
 
 
+def pooled_report_oracle(files, collar_s=0.0):
+    """``pooled_report(files, collar_s).to_dict()`` from a frozenset sweep
+    and per-interval Python loops: each file's partition is one pass over
+    the sorted bounds keeping a count of active turns per speaker, with
+    the collar test bisecting the sorted reference edges, and every total
+    is added one interval at a time.
+
+    This is the scorer as it stood before it read interval arrays,
+    kept verbatim as the reference for its summation order: the totals
+    must match bit for bit, not within a tolerance. Python 3.11's builtin
+    ``sum`` adds floats left to right (from 3.12 it compensates, and the
+    reference would move). The speaker assignment and the report types
+    come from ``diarkit.metrics``, because they are not what this oracle
+    checks.
+    """
+    from bisect import bisect_left
+
+    from diarkit.errors import EmptyReference
+    from diarkit.metrics import DerReport, MetricReport, hungarian_assign
+
+    def partition(ref, hyp, collar_s=0.0):
+        steps = {}
+        counts = ({}, {})
+        for active, turns in zip(counts, (ref, hyp)):
+            for t in turns:
+                steps.setdefault(t.onset_s, []).append((active, t.speaker_id, 1))
+                steps.setdefault(t.offset_s, []).append((active, t.speaker_id, -1))
+        edges = set(steps)
+        ref_edges = sorted({b for t in ref for b in (t.onset_s, t.offset_s)})
+        if collar_s > 0.0:
+            for b in ref_edges:
+                edges.add(b - collar_s)
+                edges.add(b + collar_s)
+        bounds = sorted(edges)
+
+        out = []
+        r_act = h_act = frozenset()
+        for lo, hi in zip(bounds, bounds[1:]):
+            if lo in steps:
+                for active, spk, step in steps[lo]:
+                    active[spk] = active.get(spk, 0) + step
+                r_act, h_act = (frozenset(s for s, n in c.items() if n > 0) for c in counts)
+            if collar_s > 0.0:
+                mid = (lo + hi) / 2.0
+                j = bisect_left(ref_edges, mid)
+                if any(abs(mid - b) < collar_s for b in ref_edges[max(0, j - 1) : j + 1]):
+                    continue
+            if r_act or h_act:
+                out.append((hi - lo, r_act, h_act))
+        return out
+
+    def tally(intervals):
+        r_spk = sorted({s for _, r, _ in intervals for s in r})
+        h_spk = sorted({s for _, _, h in intervals for s in h})
+        row, col = ({s: i for i, s in enumerate(spk)} for spk in (r_spk, h_spk))
+        overlap = np.zeros((len(r_spk), len(h_spk)))
+        for d, r_act, h_act in intervals:
+            for r in r_act:
+                for h in h_act:
+                    overlap[row[r], col[h]] += d
+        pairs = hungarian_assign(-overlap) if overlap.size else {}
+        mapping = {r_spk[i]: h_spk[j] for i, j in pairs.items() if overlap[i, j] > 0.0}
+        ref_s = sum(d * len(r) for d, r, _ in intervals)
+        hyp_s = sum(d * len(h) for d, _, h in intervals)
+        credit = 0.0
+        for best in overlap.max(axis=0, initial=0.0).tolist():
+            credit += best
+        credit = min(credit, hyp_s)
+        return intervals, ref_s, hyp_s, r_spk, h_spk, overlap, mapping, credit
+
+    def der(t):
+        intervals, ref_s, _, _, _, _, mapping, _ = t
+        missed = fa = confusion = 0.0
+        for d, r_act, h_act in intervals:
+            n_ref, n_hyp = len(r_act), len(h_act)
+            n_correct = sum(1 for r, h in mapping.items() if r in r_act and h in h_act)
+            missed += d * max(0, n_ref - n_hyp)
+            fa += d * max(0, n_hyp - n_ref)
+            confusion += d * (min(n_ref, n_hyp) - n_correct)
+        return missed, fa, confusion, ref_s, (missed + fa + confusion) / ref_s, mapping
+
+    def jer(t):
+        intervals, _, _, r_spk, h_spk, overlap, mapping, _ = t
+        errors = []
+        for i, r in enumerate(r_spk):
+            h = mapping.get(r)
+            if h is None:
+                errors.append(1.0)
+                continue
+            union = sum(d for d, ra, ha in intervals if r in ra or h in ha)
+            errors.append(1.0 - float(overlap[i, h_spk.index(h)]) / union)
+        return float(np.mean(errors))
+
+    missed = fa = confusion = total = credit = hyp_s = 0.0
+    jers, mapping = [], {}
+    for fid in sorted(files):
+        ref, hyp = files[fid]
+        plain = tally(partition(ref, hyp))
+        scored = tally(partition(ref, hyp, collar_s)) if collar_s > 0.0 else plain
+        credit += plain[7]
+        hyp_s += plain[2]
+        if scored[1] <= 0.0:
+            fa += scored[2]
+            continue
+        f_missed, f_fa, f_conf, f_total, _, f_mapping = der(scored)
+        missed += f_missed
+        fa += f_fa
+        confusion += f_conf
+        total += f_total
+        mapping.update({f"{fid}/{k}": v for k, v in f_mapping.items()})
+        jers.append(jer(plain) * f_total)
+    if total <= 0.0:
+        raise EmptyReference("reference contains no scored speech in any file")
+    report = DerReport(missed, fa, confusion, total, (missed + fa + confusion) / total, mapping)
+    purity = credit / hyp_s if hyp_s > 0.0 else 0.0
+    return MetricReport(der=report, jer=sum(jers) / total, cluster_purity=purity).to_dict()
+
+
 def frame_energies_oracle(x: np.ndarray, frame: int, hop: int) -> np.ndarray:
     """Frame energies from a full (n_frames, frame) fancy-index matrix."""
     n_frames = 1 + (len(x) - frame) // hop

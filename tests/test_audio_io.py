@@ -15,6 +15,8 @@ from diarkit.errors import (
 
 from conftest import fft_peak_hz, tone
 
+NAN, INF = float("nan"), float("inf")
+
 
 def random_buffer(n=4000, rate=16000, seed=1):
     rng = np.random.default_rng(seed)
@@ -250,6 +252,25 @@ def test_turn_validation():
         Turn("f", "s", 0.0, 0.0)
     t = Turn("f", "s", 1.0, 2.0)
     assert t.offset_s == 3.0
+
+
+@pytest.mark.parametrize(
+    "onset, duration",
+    [(NAN, 1.0), (INF, 1.0), (0.0, NAN), (0.0, INF), (INF, -INF), (1e308, 1e308)],
+)
+def test_turn_rejects_times_that_are_not_finite(onset, duration):
+    with pytest.raises(ValueError, match="finite"):
+        Turn("f", "s", onset, duration)
+
+
+@pytest.mark.parametrize("onset, duration", [("nan", "1.0"), ("inf", "1.0"), ("0.0", "nan"),
+                                             ("0.0", "inf"), ("1e308", "1e308")])
+def test_rttm_rejects_times_that_are_not_finite(onset, duration):
+    text = "SPEAKER f1 1 0.0 1.0 <NA> <NA> x <NA> <NA>\n"
+    text += f"SPEAKER f1 1 {onset} {duration} <NA> <NA> x <NA> <NA>\n"
+    with pytest.raises(NonNumericTime, match="line 2") as ei:
+        parse_rttm(text)
+    assert ei.value.line_no == 2
 
 
 # ---- WAV parsing and block conversion ----

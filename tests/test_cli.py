@@ -257,6 +257,23 @@ def test_evaluate_rejects_a_collar_that_is_not_finite_or_is_negative(tmp_path, c
     assert "collar_s" in captured.err and "DER" not in captured.out
 
 
+@pytest.mark.parametrize("side", ["ref", "hyp"])
+@pytest.mark.parametrize("field", [3, 4])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_evaluate_rejects_a_time_that_is_not_finite(tmp_path, capsys, side, field, value):
+    good = "SPEAKER rec 1 0.000 10.000 <NA> <NA> A <NA> <NA>"
+    fields = "SPEAKER rec 1 12.000 2.000 <NA> <NA> A <NA> <NA>".split()
+    fields[field] = value
+    paths = {name: tmp_path / f"{name}.rttm" for name in ("ref", "hyp")}
+    for name, path in paths.items():
+        path.write_text(good + "\n" + (" ".join(fields) + "\n" if name == side else ""))
+    argv = ["evaluate", "--ref", str(paths["ref"]), "--hyp", str(paths["hyp"])]
+    assert main(argv) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "line 2" in captured.err and value in captured.err
+    assert "DER" not in captured.out
+
+
 def test_evaluate_names_hypotheses_without_a_reference(tmp_path, capsys):
     ref_dir, hyp_dir = tmp_path / "ref", tmp_path / "hyp"
     ref_dir.mkdir()

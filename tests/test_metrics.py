@@ -1,6 +1,7 @@
 """Metric correctness against brute-force oracles and hand-derived values."""
 
 import time
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -31,7 +32,13 @@ from diarkit.metrics import (
 )
 
 from conftest import random_der_case
-from oracles import assignment_oracle, der_oracle, eer_dense_oracle, partition_oracle
+from oracles import (
+    assignment_oracle,
+    der_oracle,
+    eer_dense_oracle,
+    partition_oracle,
+    pooled_report_oracle,
+)
 
 
 def _t(spk, on, dur, f="f"):
@@ -356,7 +363,84 @@ def test_scoring_an_hour_of_turns_within_budget():
     elapsed = time.perf_counter() - start
     assert 0.0 < der.der < 1.0 and 0.0 < jer < 1.0 and 0.0 < purity < 1.0
     assert pooled.der.der == der.der and pooled.jer == pytest.approx(jer, abs=1e-12)
-    assert elapsed < 0.5, f"{elapsed:.2f} s"
+    assert elapsed < 0.1, f"{elapsed:.3f} s"
+
+
+def test_scoring_an_hour_of_turns_within_two_megabytes():
+    files = {"hour": _hour_case(np.random.default_rng(15))}
+    pooled_report(files, collar_s=0.25)
+    tracemalloc.start()
+    try:
+        pooled_report(files, collar_s=0.25)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000, f"{peak / 1e6:.2f} MB"
+
+
+# --- pooled_report against the loop scorer ---
+
+
+def _assert_scores_as_the_loop_scorer(files, collar, case):
+    try:
+        want = pooled_report_oracle(files, collar)
+    except EmptyReference:
+        with pytest.raises(EmptyReference):
+            pooled_report(files, collar_s=collar)
+        return
+    assert pooled_report(files, collar_s=collar).to_dict() == want, case
+
+
+def test_pooled_report_equals_the_loop_scorer_on_random_files():
+    rng = np.random.default_rng(16)
+    noise = [_t("X", 1.0, 2.0, f="noise"), _t("Y", 2.5, 1.0, f="noise")]
+    collared = [_t("A", 5.0, 0.3, f="collared")]
+    for case in range(40):
+        files = {"noise": ([], noise), "collared": (collared, [_t("X", 4.0, 2.0, f="collared")])}
+        for k in range(int(rng.integers(1, 5))):
+            ref, hyp = random_der_case(rng)
+            files[f"f{k}"] = ([replace(t, file_id=f"f{k}") for t in ref],
+                              [replace(t, file_id=f"f{k}") for t in hyp])
+        for collar in (0.0, 0.25):
+            _assert_scores_as_the_loop_scorer(files, collar, (case, collar))
+
+
+def test_pooled_report_equals_the_loop_scorer_on_crowded_cases():
+    rng = np.random.default_rng(14)
+    for case in range(150):
+        files = {"f": _crowded_case(rng)}
+        for collar in (0.0, 0.1, 0.25, 0.5):
+            _assert_scores_as_the_loop_scorer(files, collar, (case, collar))
+
+
+def test_pooled_report_equals_the_loop_scorer_on_an_hour():
+    files = {"hour": _hour_case(np.random.default_rng(15))}
+    for collar in (0.0, 0.1, 0.25, 0.5):
+        _assert_scores_as_the_loop_scorer(files, collar, collar)
+
+
+def test_pooled_report_equals_the_loop_scorer_on_edge_cases():
+    rng = np.random.default_rng(18)
+    ref, _ = random_der_case(rng)
+    many = [_t(f"h{i:02d}", float(rng.uniform(0.0, 30.0)), float(rng.uniform(0.2, 3.0)))
+            for i in range(40) for _ in range(2)]
+    # A speaks only inside B's collars; B's two hypothesis speakers tie, so
+    # an unused row for A in the assignment would hand B the second one.
+    tie = ([_t("A", 4.9, 0.2), _t("B", 0.0, 20.0)], [_t("X", 0.0, 20.0), _t("Y", 0.0, 20.0)])
+    # The same speaker's turns touch, overlap, and nest.
+    touching = ([_t("A", 0.0, 2.0), _t("A", 2.0, 2.0), _t("A", 3.0, 2.0), _t("B", 1.0, 3.0)],
+                [_t("X", 0.0, 3.0), _t("X", 1.0, 1.0), _t("X", 3.0, 0.001), _t("Y", 3.0, 2.0)])
+    cases = {
+        "empty hypothesis": {"f": (ref, [])},
+        "collared speaker": {"f": tie},
+        "forty hypothesis speakers": {"f": (ref, many)},
+        "touching turns": {"f": touching},
+    }
+    for name, files in cases.items():
+        for collar in (0.0, 0.1, 0.25, 0.5):
+            _assert_scores_as_the_loop_scorer(files, collar, (name, collar))
+    mapping = pooled_report({"f": tie}, collar_s=0.25).der.mapping
+    assert mapping == {"f/B": "X"}
 
 
 # --- compute_jer ---
