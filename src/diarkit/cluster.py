@@ -1,12 +1,15 @@
 """Average-linkage agglomerative clustering over segment embeddings.
 
-Each pair's cosine distance, 1 - cos capped at 2, is computed alone as
-half the squared distance between the unit vectors, so bitwise copies
-read exactly 0. The distances stay in scipy's condensed ``pdist`` layout,
-with no n x n matrix. scipy's average linkage builds the merge tree over
-them; a small adapter reads it back as the greedy merge sequence. Each
-merge takes the pair of clusters with the smallest average distance;
-ties fall to the pair whose member segments come first.
+The embeddings are scaled to unit rows. Bitwise-equal rows merge first,
+at exactly 0, as copies of one vector must. The distinct rows are then
+merged by an NN-chain (Müllner 2011) over one sum vector per cluster:
+the average cosine distance of clusters A and B is
+1 - sum(A) . sum(B) / (|A| |B|), so each step is one mat-vec over the
+live clusters, which are kept in the leading rows, and no pairwise
+distance is stored. The merges are sorted into scipy's ``linkage``
+layout and read back as the greedy merge sequence: each merge takes
+the pair of clusters with the smallest average distance; ties fall to
+the pair whose member segments come first.
 """
 
 from __future__ import annotations
@@ -49,8 +52,11 @@ def cosine_distance(a, b) -> float:
     return float(_pairwise([a, b])[0])
 
 
-def _pairwise(embs) -> np.ndarray:
-    """Cosine distances of every pair i < j, in scipy's condensed layout."""
+def _unit_rows(embs) -> np.ndarray:
+    """The embeddings as an (n, dim) matrix of unit rows.
+
+    Raises DimMismatch on unequal dims and ZeroVector on a zero vector.
+    """
     vectors = [_vec(e) for e in embs]
     dims = {v.shape for v in vectors}
     if len(dims) > 1 or any(v.ndim != 1 for v in vectors):
@@ -59,9 +65,16 @@ def _pairwise(embs) -> np.ndarray:
     norms = np.linalg.norm(matrix, axis=1)
     if np.any(norms == 0.0):
         raise ZeroVector("embeddings must be nonzero for cosine distances")
-    from scipy.spatial.distance import pdist  # on first use, like linkage
+    matrix /= norms[:, None]
+    return matrix
+
+
+def _pairwise(embs) -> np.ndarray:
+    """Cosine distances of every pair i < j, in scipy's condensed layout."""
+    unit = _unit_rows(embs)
+    from scipy.spatial.distance import pdist  # on first use: no command needs it
     # |u - v|^2 = 2 - 2 cos for unit u, v; bitwise-equal rows give 0.
-    d = pdist(matrix / norms[:, None], "sqeuclidean")
+    d = pdist(unit, "sqeuclidean")
     return np.minimum(np.multiply(d, 0.5, out=d), 2.0, out=d)
 
 
@@ -89,14 +102,10 @@ def agglomerative_cluster(embs, stop) -> ClusterResult:
         if k > n:
             raise KTooLarge(f"k={k} exceeds {n} embeddings")
 
-    condensed = _pairwise(embs)
-    if n == 1:  # scipy's linkage needs two observations
+    unit = _unit_rows(embs)
+    if n == 1:
         return ClusterResult(labels=(0,), merge_trace=())
-    # Imported on first use: scipy.cluster adds ~0.2 s to the start-up
-    # of every command, and most commands never cluster.
-    from scipy.cluster.hierarchy import linkage
-
-    trace = _greedy_trace(linkage(condensed, "average"), n)
+    trace = _greedy_trace(_linkage(unit), n)
     trace = trace[: n - k] if k is not None else [m for m in trace if m[2] <= threshold]
 
     # A merge joins the clusters whose first members are lo < hi; point
@@ -108,6 +117,74 @@ def agglomerative_cluster(embs, stop) -> ClusterResult:
         root[i] = root[root[i]]
     _, labels = np.unique(root, return_inverse=True)
     return ClusterResult(labels=tuple(labels.tolist()), merge_trace=tuple(trace))
+
+
+def _linkage(unit: np.ndarray) -> np.ndarray:
+    """Average-linkage merge tree of n >= 2 unit rows, as the rows
+    (cluster a, cluster b, distance) of scipy's ``linkage`` output.
+
+    Copies merge first at 0, each into the first row of its group. The
+    chain then runs over the distinct rows, each weighted by its count.
+    """
+    n = len(unit)
+    if not np.all(np.isfinite(unit)):
+        raise ValueError("embeddings must be finite")
+    order = np.lexsort(unit.T[::-1])  # stable: each group of copies ascends
+    rows = unit[order]
+    new = np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1)))
+    del rows
+    firsts = order[new][np.cumsum(new) - 1]  # each sorted row's group's first
+    merges = [(a, b, 0.0) for a, b in zip(firsts[~new].tolist(), order[~new].tolist())]
+
+    # Live clusters sit in rows [0, live), in order of first member at
+    # the start; a merge frees one row and the last live row moves in.
+    first, count = np.unique(firsts, return_counts=True)
+    sums = unit[first] * count[:, None]
+    size = count.astype(np.float64)
+    first = first.tolist()
+    chain: list[int] = []
+    live = len(first)
+    while live > 1:
+        if not chain:
+            chain.append(0)
+        x = chain[-1]
+        d = 1.0 - (sums[:live] @ sums[x]) / (size[:live] * size[x])
+        d[x] = np.inf
+        y = int(d.argmin())
+        if len(chain) > 1 and (d[chain[-2]] <= d[y] or y in chain):
+            # Reciprocal nearest neighbours: merge. A tie keeps the
+            # previous link, and so does a neighbour already on the chain
+            # (rounding can make d(a, b) and d(b, a) differ), so the
+            # chain cannot cycle.
+            y = chain[-2]
+            del chain[-2:]
+            merges.append((first[x], first[y], float(d[y])))
+            lo, hi = min(x, y), max(x, y)
+            sums[lo] += sums[hi]
+            size[lo] += size[hi]
+            first[lo] = min(first[lo], first[hi])
+            live -= 1
+            sums[hi], size[hi], first[hi] = sums[live], size[live], first[live]
+            chain = [hi if c == live else c for c in chain]
+        else:
+            chain.append(y)
+
+    # scipy's layout: rows sorted by distance (stably, so children stay
+    # ahead of their parents), clusters named n + the row that made them.
+    merges.sort(key=lambda m: m[2])
+    parent = list(range(2 * n - 1))
+
+    def root(i: int) -> int:
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    z = []
+    for row, (a, b, dist) in enumerate(merges, start=n):
+        a, b = root(a), root(b)
+        parent[a] = parent[b] = row
+        z.append((a, b, dist))
+    return np.array(z, dtype=np.float64)
 
 
 def _greedy_trace(z: np.ndarray, n: int) -> list[tuple[int, int, float]]:

@@ -26,12 +26,12 @@ for JER and purity).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .audio_io import Turn
 from .errors import (
@@ -112,12 +112,83 @@ class MetricReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
+def _lap_value(cost: np.ndarray) -> tuple[float, dict, list, list]:
+    """Minimum total of a min(n, m) assignment, by shortest augmenting
+    paths (Crouse 2016), the method and the tie rules of scipy's
+    ``linear_sum_assignment``, so both pick the same pairs.
+
+    Returns the total, summed over the pairs in row order, the pairs as
+    {row: column}, and optimal duals u (rows) and v (columns):
+    c[r, q] - u[r] - v[q] >= 0 everywhere and 0 on the pairs, with the
+    duals of the longer side <= 0 and 0 where it is left unassigned.
+    """
+    c = np.asarray(cost, dtype=np.float64)
+    if c.size == 0:
+        return 0.0, {}, [0.0] * c.shape[0], [0.0] * c.shape[1]
+    flip = c.shape[1] < c.shape[0]  # solve with rows on the shorter side
+    a = (c.T if flip else c).tolist()
+    nr, nc = len(a), len(a[0])
+    u, v = [0.0] * nr, [0.0] * nc
+    col4row, row4col = [-1] * nr, [-1] * nc
+    for cur in range(nr):
+        spc, path = [math.inf] * nc, [-1] * nc
+        remaining = list(range(nc - 1, -1, -1))  # constant costs give the identity
+        rows_seen, cols_seen = [], []
+        i, sink, min_val = cur, -1, 0.0
+        while sink == -1:
+            rows_seen.append(i)
+            row, ui = a[i], u[i]
+            index, lowest = -1, math.inf
+            for it, j in enumerate(remaining):
+                r = min_val + row[j] - ui - v[j]
+                if r < spc[j]:
+                    path[j] = i
+                    spc[j] = r
+                # On a tie, prefer a column that ends the path.
+                if spc[j] < lowest or (spc[j] == lowest and row4col[j] == -1):
+                    lowest, index = spc[j], it
+            min_val = lowest
+            j = remaining[index]
+            if row4col[j] == -1:
+                sink = j
+            else:
+                i = row4col[j]
+            cols_seen.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+        u[cur] += min_val
+        for i in rows_seen:
+            if i != cur:
+                u[i] += min_val - spc[col4row[i]]
+        for j in cols_seen:
+            v[j] -= min_val - spc[j]
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    if flip:
+        pairs = dict(sorted(zip(col4row, range(nr))))
+        u, v = v, u
+    else:
+        pairs = dict(enumerate(col4row))
+    rows = list(pairs)
+    total = float(c[rows, [pairs[r] for r in rows]].sum())
+    return total, pairs, u, v
+
+
 def hungarian_assign(cost) -> dict[int, int]:
     """Minimum-cost assignment of min(n, m) row-column pairs.
 
     Among equally cheap assignments the lexicographically smallest
     mapping wins: earlier rows assigned where possible, each to the
-    lowest workable column.
+    lowest workable column. A candidate pair is workable when pinning
+    it keeps the minimum total within 1e-9 (relative); each minimum
+    comes from ``_lap_value``, Crouse's shortest-augmenting-path solver.
+    The duals of the first solve settle most candidates without another
+    one, wherever rounding cannot change the answer.
 
     Raises EmptyMatrix on a dimension of zero.
     """
@@ -130,29 +201,39 @@ def hungarian_assign(cost) -> dict[int, int]:
     if not np.all(np.isfinite(c)):
         raise ValueError("costs must be finite")
 
-    def lap_value(rows: list[int], cols: list[int]) -> float:
-        if not rows or not cols:
-            return 0.0
-        sub = c[np.ix_(rows, cols)]
-        ri, ci = linear_sum_assignment(sub)
-        return float(sub[ri, ci].sum())
-
-    all_rows = list(range(n))
-    all_cols = list(range(m))
-    total = lap_value(all_rows, all_cols)
+    total, best, u, v = _lap_value(c)
     tol = 1e-9 * max(1.0, abs(total))
-
+    # Pinning (i, q) costs at least its reduced cost more than the total.
+    # `slack` bounds what rounding can move that by: the duals' measured
+    # infeasibility and gap, plus 16 (n + m)^2 ulps of the largest
+    # magnitude for the rounding inside the solves and sums.
+    reduced = c - np.array(u)[:, None] - np.array(v)
+    scale = max(1.0, float(np.abs(c).max()), *map(abs, u), *map(abs, v))
+    slack = (
+        (n + m) * max(0.0, -float(reduced.min()))
+        + abs(math.fsum(u) + math.fsum(v) - total)
+        + 16 * (n + m) ** 2 * np.finfo(np.float64).eps * scale
+    )
     assigned: dict[int, int] = {}
+    free_cols = list(range(m))
     pinned_cost = 0.0
     for i in range(n):
-        free_rows = [r for r in all_rows if r not in assigned and r != i]
-        for col in all_cols:
-            if col in assigned.values():
-                continue
-            free_cols = [q for q in all_cols if q not in assigned.values() and q != col]
-            value = pinned_cost + c[i, col] + lap_value(free_rows, free_cols)
-            if abs(value - total) <= tol:
+        near = reduced[i].tolist()
+        for col in [q for q in free_cols if near[q] <= tol + slack]:
+            if best.get(i) == col and slack <= tol and all(
+                best.get(r) == q for r, q in assigned.items()
+            ):
+                # The first solve's own pair, with every earlier pin
+                # from it too: the pinned total is the minimum exactly.
+                fits = True
+            else:
+                rows = [r for r in range(n) if r not in assigned and r != i]
+                cols = [q for q in free_cols if q != col]
+                rest = _lap_value(c[np.ix_(rows, cols)])[0]
+                fits = abs(pinned_cost + c[i, col] + rest - total) <= tol
+            if fits:
                 assigned[i] = col
+                free_cols.remove(col)
                 pinned_cost += c[i, col]
                 break
     return assigned

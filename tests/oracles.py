@@ -22,6 +22,44 @@ def assignment_oracle(cost):
     )
 
 
+def hungarian_assign_oracle(cost):
+    """``hungarian_assign`` as it stood on scipy's ``linear_sum_assignment``:
+    one full solve, then one solve per candidate pin, rows in order and
+    each row's free columns in order. Kept verbatim as the reference for
+    the tie rule and the tolerance."""
+    from scipy.optimize import linear_sum_assignment
+
+    c = np.asarray(cost, dtype=np.float64)
+    n, m = c.shape
+
+    def lap_value(rows, cols):
+        if not rows or not cols:
+            return 0.0
+        sub = c[np.ix_(rows, cols)]
+        ri, ci = linear_sum_assignment(sub)
+        return float(sub[ri, ci].sum())
+
+    all_rows = list(range(n))
+    all_cols = list(range(m))
+    total = lap_value(all_rows, all_cols)
+    tol = 1e-9 * max(1.0, abs(total))
+
+    assigned = {}
+    pinned_cost = 0.0
+    for i in range(n):
+        free_rows = [r for r in all_rows if r not in assigned and r != i]
+        for col in all_cols:
+            if col in assigned.values():
+                continue
+            free_cols = [q for q in all_cols if q not in assigned.values() and q != col]
+            value = pinned_cost + c[i, col] + lap_value(free_rows, free_cols)
+            if abs(value - total) <= tol:
+                assigned[i] = col
+                pinned_cost += c[i, col]
+                break
+    return assigned
+
+
 def der_oracle(ref, hyp, collar_s=0.0):
     """DER by brute force over every injective speaker mapping.
 

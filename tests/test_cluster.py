@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from diarkit.cluster import (
+    _pairwise,
     agglomerative_cluster,
     cosine_distance,
     labels_to_turns,
@@ -227,25 +228,14 @@ def test_every_segment_covered_by_its_turn():
         )
 
 
-def test_condensed_distances_are_per_pair_and_copies_read_zero(monkeypatch):
-    import scipy.cluster.hierarchy as hierarchy
-
-    seen = []
-    real = hierarchy.linkage
-
-    def recording_linkage(y, method):
-        seen.append(y)
-        return real(y, method)
-
-    monkeypatch.setattr(hierarchy, "linkage", recording_linkage)
+def test_condensed_distances_are_per_pair_and_copies_read_zero():
     rng = np.random.default_rng(21)
     for case in range(24):
         n = int(rng.integers(2, 60))
         pts = rng.normal(size=(n, 8))
         if case % 2:  # duplicate-heavy
             pts = pts[rng.integers(0, max(1, n // 4), size=n)]
-        agglomerative_cluster(_embs(pts), {"k": 1})
-        got = seen[-1]
+        got = _pairwise(_embs(pts))
         i, j = np.triu_indices(n, k=1)
         want = cosine_pairs_oracle(pts)[i, j]
         assert np.allclose(got, want, rtol=0.0, atol=1e-15), case
@@ -265,3 +255,19 @@ def test_clustering_memory_stays_within_one_distance_matrix():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * n * n
+
+
+def test_clustering_memory_stays_within_a_tenth_of_a_distance_matrix():
+    # No pairwise distances are stored: the chain holds one sum vector
+    # per cluster, so the peak is a few copies of the embeddings.
+    import tracemalloc
+
+    n = 3000
+    embs = _embs(np.random.default_rng(22).normal(size=(n, 52)))
+    tracemalloc.start()
+    try:
+        agglomerative_cluster(embs, {"k": 4})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * 8 * n * n, f"{peak / 1e6:.2f} MB"

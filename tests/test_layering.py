@@ -1,5 +1,6 @@
-"""Module layering: the library never reaches into the command line, and
-only the corpus's worker helper reaches for processes."""
+"""Module layering: the library never reaches into the command line, only
+the corpus's worker helper reaches for processes, and no command loads
+scipy.optimize, scipy.spatial or scipy.cluster."""
 
 import ast
 import os
@@ -77,3 +78,62 @@ def test_importing_the_cli_leaves_multiprocessing_unloaded():
         env={**os.environ, "PYTHONPATH": str(SRC.parent)},
     )
     assert out.stdout.strip() == "False"
+
+
+def _scipy_imports(path):
+    """(enclosing function or None, scipy module) for each import of scipy
+    or of a scipy subpackage in the file."""
+    found = []
+
+    def visit(node, func):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Import):
+            found.extend((func, a.name) for a in node.names if a.name.split(".")[0] == "scipy")
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+            if node.module == "scipy":
+                found.extend((func, f"scipy.{a.name}") for a in node.names)
+            elif node.module.split(".")[0] == "scipy":
+                found.append((func, node.module))
+        for child in ast.iter_child_nodes(node):
+            visit(child, func)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return found
+
+
+def test_no_module_imports_scipy_optimize_or_cluster():
+    for path in sorted(SRC.glob("*.py")):
+        for func, module in _scipy_imports(path):
+            top = ".".join(module.split(".")[:2])
+            assert top not in ("scipy.optimize", "scipy.cluster"), (path.name, module)
+            if top == "scipy.spatial":
+                assert (path.name, func) == ("cluster.py", "_pairwise"), (path.name, module)
+
+
+def test_diarize_and_evaluate_leave_scipy_optimize_spatial_and_cluster_unloaded(tmp_path):
+    code = """if True:
+        import sys
+        import diarkit.cli
+        from diarkit.audio_io import emit_rttm, write_wav
+        from diarkit.corpus import generate_mixture
+
+        buf, turns = generate_mixture(2, 20.0, seed=3)
+        write_wav("mix.wav", buf)
+        with open("ref.rttm", "w", encoding="utf-8") as fh:
+            fh.write(emit_rttm(turns))
+        main = diarkit.cli.main
+        assert main(["diarize", "mix.wav", "--out-rttm", "hyp.rttm"]) == 0
+        assert main(["diarize", "mix.wav", "--num-speakers", "2", "--out-rttm", "hyp.rttm"]) == 0
+        assert main(["evaluate", "--ref", "ref.rttm", "--hyp", "hyp.rttm",
+                     "--collar", "0.25", "--json", "report.json"]) == 0
+        loaded = ("scipy.optimize", "scipy.spatial", "scipy.cluster")
+        print(sorted(m for m in loaded if m in sys.modules))
+    """
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert out.stdout.strip().splitlines()[-1] == "[]"
+    assert (tmp_path / "report.json").stat().st_size > 0

@@ -1,5 +1,6 @@
 """Metric correctness against brute-force oracles and hand-derived values."""
 
+import math
 import time
 import tracemalloc
 from dataclasses import replace
@@ -26,6 +27,7 @@ from diarkit.metrics import (
     compute_eer,
     compute_jer,
     hungarian_assign,
+    _lap_value,
     pooled_report,
     relative_improvement,
     turns_purity,
@@ -36,6 +38,7 @@ from oracles import (
     assignment_oracle,
     der_oracle,
     eer_dense_oracle,
+    hungarian_assign_oracle,
     partition_oracle,
     pooled_report_oracle,
 )
@@ -95,6 +98,68 @@ def test_hungarian_errors():
         hungarian_assign(np.zeros((0, 3)))
     with pytest.raises(ValueError):
         hungarian_assign([[np.inf, 1.0], [1.0, 0.0]])
+
+
+def _random_costs(rng, count):
+    """Cost matrices from 1x1 to 7x9, half of them transposed: normal
+    costs, small integers (dense ties, with -0.0 among the zeros), rows
+    whose entries are all equal, and scoring-like negated overlaps."""
+    for case in range(count):
+        n, m = int(rng.integers(1, 8)), int(rng.integers(1, 10))
+        if case % 2:
+            n, m = m, n
+        kind = (case // 2) % 4
+        if kind == 0:
+            c = rng.normal(size=(n, m))
+        elif kind == 1:
+            c = rng.integers(-3, 4, size=(n, m)).astype(float)
+            c[(c == 0) & (rng.random((n, m)) < 0.5)] = -0.0
+        elif kind == 2:
+            c = rng.normal(size=(n, m))
+            same = rng.random(n) < 0.5
+            c[same] = rng.integers(0, 3, size=(int(same.sum()), 1))
+        else:
+            c = -np.round(rng.uniform(0.0, 900.0, size=(n, m)), 3) * (rng.random((n, m)) < 0.6)
+        yield c
+
+
+def test_hungarian_assign_equals_the_scipy_pin_loop():
+    rng = np.random.default_rng(19)
+    for case, c in enumerate(_random_costs(rng, 2400)):
+        assert hungarian_assign(c) == hungarian_assign_oracle(c), (case, c.tolist())
+
+
+def test_lap_value_is_the_permutation_minimum_with_feasible_duals():
+    rng = np.random.default_rng(20)
+    for case, c in enumerate(_random_costs(rng, 800)):
+        total, pairs, u, v = _lap_value(c)
+        assert len(pairs) == min(c.shape), case
+        assert len(set(pairs.values())) == len(pairs), case
+        assert total == sum(c[r, q] for r, q in sorted(pairs.items())), case
+        if math.perm(max(c.shape), min(c.shape)) <= 20_160:  # keep enumeration short
+            if np.all(c == np.round(c)):
+                assert total == assignment_oracle(c), case
+            else:
+                assert total == pytest.approx(assignment_oracle(c), abs=1e-12), case
+        # The duals prove the optimum: no negative reduced cost, none on
+        # the pairs, and the longer side's duals are <= 0.
+        reduced = c - np.array(u)[:, None] - np.array(v)
+        assert reduced.min() >= -1e-12, case
+        assert all(abs(reduced[r, q]) <= 1e-12 for r, q in pairs.items()), case
+        longer = u if c.shape[0] > c.shape[1] else v
+        assert max(longer) <= 0.0, case
+
+
+def test_scoring_an_hour_with_a_speaker_per_hypothesis_turn_within_budget():
+    ref, hyp = _hour_case(np.random.default_rng(15))
+    hyp = [replace(t, speaker_id=f"h{i:04d}") for i, t in enumerate(hyp)]
+    files = {"hour": (ref, hyp)}
+    start = time.perf_counter()
+    report = pooled_report(files, collar_s=0.25)
+    elapsed = time.perf_counter() - start
+    assert len(report.der.mapping) == 4
+    assert report.to_dict() == pooled_report_oracle(files, 0.25)
+    assert elapsed < 0.5, f"{elapsed:.3f} s"
 
 
 # --- compute_der ---
