@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import locale  # noqa: F401  argparse's gettext imports it on the first parser build
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor

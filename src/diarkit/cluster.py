@@ -8,8 +8,11 @@ the average cosine distance of clusters A and B is
 live clusters, which are kept in the leading rows, and no pairwise
 distance is stored. The merges are sorted into scipy's ``linkage``
 layout and read back as the greedy merge sequence: each merge takes
-the pair of clusters with the smallest average distance; ties fall to
-the pair whose member segments come first.
+the pair of clusters with the smallest average distance. Ties between
+copies of one vector fall to the pair whose member segments come first;
+distinct pairs whose distances tie mathematically (small-integer
+vectors, say) merge in the order rounding gives their computed
+distances.
 """
 
 from __future__ import annotations

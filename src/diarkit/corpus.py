@@ -16,6 +16,7 @@ from itertools import starmap
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # noqa: F401  numpy 2 loads it lazily: load it here, not in a command
 
 from .audio_io import AudioBuffer, Turn, _usable_cores, emit_rttm, write_wav
 from .errors import BadSpeakerCount, BadSplit, IoError, TooShort

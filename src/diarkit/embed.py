@@ -11,7 +11,10 @@ from an AudioBuffer or an open WavSource alike, with one thread per
 usable core framing its share of the blocks. Deltas are a regression
 over the cepstra two frames either side, so a segment's delta and
 delta-delta rows are rebuilt from the cepstral rows around it when it is
-pooled; no table holds them for the whole recording.
+pooled; no table holds them for the whole recording. The cepstra are
+the orthonormal DCT-II of the log-mel energies, computed by a numpy port
+of pocketfft's (``_OrthoDct2``), bit for bit with ``scipy.fft.dct``, so
+the front end, like every command, runs without scipy.
 
 Externally computed vectors (any dimension) enter through a small binary
 matrix format documented at ``write_embeddings``.
@@ -19,6 +22,7 @@ matrix format documented at ``write_embeddings``.
 
 from __future__ import annotations
 
+import math
 import struct
 import weakref
 from concurrent.futures import ThreadPoolExecutor
@@ -26,8 +30,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import numpy.fft  # noqa: F401  numpy 2 loads it lazily: load it here, not in the first MFCC block
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import dct
 
 from .audio_io import AudioBuffer, WavSource, _usable_cores
 from .errors import (
@@ -136,6 +140,112 @@ def _feature_rows(
     return out[:, :width]
 
 
+def _dct_twiddles(n: int) -> np.ndarray:
+    """cos(pi j / (2 n)) for j = 1 .. n - 1, rounded as pocketfft's DCT-II
+    of length n rounds them.
+
+    pocketfft reads them from its sincos_2pibyn(4 n) table. It holds
+    libm's cos and sin of the angle folded into the first octant for every
+    j below a power of two ``step`` of about sqrt(2 n) and for every
+    multiple of ``step``, and forms entry j as the complex product of the
+    entries for j % step and j - j % step. ``math.cos(pi j / (2 n))``
+    differs from that product in the last bit at some j for every n from 2
+    to 256.
+    """
+    table = 4 * n
+    pi = np.longdouble(math.pi) + np.longdouble(1.2246467991473532e-16)
+    ang = float(np.longdouble(0.25) * pi / table)  # an eighth of 2 pi / table
+
+    def cos_sin(x):  # of 2 pi x / table, for x < table / 4
+        x *= 8
+        if x < table:
+            return math.cos(x * ang), math.sin(x * ang)
+        return math.sin((2 * table - x) * ang), math.cos((2 * table - x) * ang)
+
+    shift = 1
+    while 4**shift < (table + 2) // 2:
+        shift += 1
+    step = 1 << shift
+    out = np.empty(n - 1)
+    for j in range(1, n):
+        (c1, s1), (c2, s2) = cos_sin(j % step), cos_sin(j - j % step)
+        out[j - 1] = c1 * c2 - s1 * s2
+    return out
+
+
+class _OrthoDct2:
+    """Columns 1..count of the orthonormal DCT-II of the rows of blocks of
+    up to ``rows`` rows of length n, bit for bit
+    ``scipy.fft.dct(x, 2, norm="ortho", axis=1)[:, 1 : count + 1]``.
+
+    A port of pocketfft's DCT-II, which scipy runs. A pre-step packs each
+    row into the half spectrum of a real sequence, numpy's pocketfft
+    inverse real FFT (unscaled: ``norm="forward"``) transforms it, and a
+    post-step forms coefficients k and n - k from outputs k and n - k, each
+    scaled by 1 / sqrt(2 n), and two twiddles. Every product and sum is one
+    that pocketfft rounds, so the post-step can form only the columns
+    asked for, each step one pass over a block.
+    """
+
+    def __init__(self, n: int, count: int, rows: int) -> None:
+        tw = _dct_twiddles(n)
+        self.n, self.count, self.rows = n, count, rows
+        self.low = low = min(count, (n - 1) // 2)  # columns k = 1..low lie below n / 2
+        k = np.arange(1, low + 1)
+        # Tiled to whole blocks, so each post-step product is one contiguous pass.
+        self.tw_k = np.tile(tw[k - 1], (rows, 1))
+        self.tw_nk = np.tile(tw[n - k - 1], (rows, 1))
+        self.tw_mid = tw[n // 2 - 1]
+        self.scale = float(np.longdouble(1) / np.sqrt(np.longdouble(2 * n)))
+
+    def scratch(self) -> tuple:
+        """One worker's buffers: the half spectrum, the FFT output and three
+        (rows, low) temporaries. The imaginary parts of the spectrum's
+        first bin, and for even n its last, stay zero; the FFT reads
+        neither."""
+        rows, n, low = self.rows, self.n, self.low
+        return (
+            np.zeros((rows, n // 2 + 1), dtype=np.complex128),
+            np.empty((rows, n)),
+            np.empty((rows, low)),
+            np.empty((rows, low)),
+            np.empty((rows, low)),
+        )
+
+    def __call__(self, x: np.ndarray, out: np.ndarray, spec, y, u, v, w) -> np.ndarray:
+        """Write the coefficients of x's rows, (r, n), into out, (r, count)."""
+        r = len(x)
+        n, count, low = self.n, self.count, self.low
+        pairs = (n - 1) // 2
+        spec, y, u, v, w = spec[:r], y[:r], u[:r], v[:r], w[:r]
+        tw_k, tw_nk = self.tw_k[:r], self.tw_nk[:r]
+        # Bin j is (x[2j-1] + x[2j]) + i (x[2j] - x[2j-1]), which is
+        # (x[2j-1] + i x[2j]) (1 - i) exactly: every product is by +-1.
+        np.multiply(x[:, 1 : 2 * pairs + 1].view(np.complex128), 1 - 1j, out=spec[:, 1 : pairs + 1])
+        np.multiply(x[:, 0], 2.0, out=spec[:, 0].real)
+        if n % 2 == 0:
+            np.multiply(x[:, n - 1], 2.0, out=spec[:, n // 2].real)
+        np.fft.irfft(spec, n, axis=1, norm="forward", out=y)
+        np.multiply(y[:, 1 : low + 1], self.scale, out=u)  # y[k]
+        np.multiply(y[:, n - 1 : n - low - 1 : -1], self.scale, out=v)  # y[n - k]
+        t1 = np.multiply(tw_k, v, out=w)
+        t1 += np.multiply(tw_nk, u, out=out[:, :low])  # t1 = tw_k y[n-k] + tw_nk y[k]
+        u *= tw_k
+        v *= tw_nk
+        t2 = np.subtract(u, v, out=u)  # t2 = tw_k y[k] - tw_nk y[n-k]
+        lo = np.add(t1, t2, out=out[:, :low])  # column k is (t1 + t2) / 2
+        lo *= 0.5
+        if count > n // 2:
+            # Column n - k is (t1 - t2) / 2, for k from low down to n - count.
+            k = slice(n - count - 1, low)
+            hi = np.subtract(t1[:, k][:, ::-1], t2[:, k][:, ::-1], out=out[:, n // 2 : count])
+            hi *= 0.5
+        if n % 2 == 0 and count >= n // 2:
+            mid = np.multiply(y[:, n // 2], self.scale, out=out[:, n // 2 - 1])
+            mid *= self.tw_mid
+        return out
+
+
 def _frame_starts(n_samples: int, frame: int, hop: int) -> np.ndarray:
     if n_samples < frame:
         return np.zeros(0, dtype=np.int64)
@@ -176,12 +286,14 @@ def _buffer_features(
     blocks = list(_frame_blocks(len(starts), _MFCC_BLOCK))
     workers = min(_usable_cores(), len(blocks))
     rows = min(len(starts), _MFCC_BLOCK)
+    dct = _OrthoDct2(n_mels, n_coeffs, rows)
 
     def scratch():
         # (zero-padded FFT input, spectrum, power, mel, samples, pre-emphasis
-        # product), allocated here in the calling thread and reused for
-        # every block of one worker: allocated per block, or inside a pool
-        # thread's own heap arena, they fault in fresh pages again.
+        # product, the DCT's buffers), allocated here in the calling thread
+        # and reused for every block of one worker: allocated per block, or
+        # inside a pool thread's own heap arena, they fault in fresh pages
+        # again.
         # Columns of the FFT input past ``frame`` stay zero.
         n_samples = (rows - 1) * hop + frame + 1
         return (
@@ -191,9 +303,10 @@ def _buffer_features(
             np.empty((rows, n_mels)),
             np.empty(n_samples),
             np.empty(n_samples - 1),
+            dct.scratch(),
         )
 
-    def run(share, padded, spectrum, power, mel, samples, product):
+    def run(share, padded, spectrum, power, mel, samples, product, dct_scratch):
         for lo, hi in share:
             first, end = int(starts[lo]), int(starts[hi - 1]) + frame
             start = max(first - 1, 0)
@@ -209,7 +322,7 @@ def _buffer_features(
             # One call per block: BLAS paths differ by size.
             logmel = np.matmul(power[:n], fb_t, out=mel[:n])
             np.log(np.maximum(logmel, _LOG_FLOOR, out=logmel), out=logmel)
-            cepstra[lo:hi] = dct(logmel, type=2, norm="ortho", axis=1)[:, 1 : n_coeffs + 1]
+            dct(logmel, cepstra[lo:hi], *dct_scratch)
 
     shares = [(blocks[i::workers], *scratch()) for i in range(workers)]
     if workers == 1:

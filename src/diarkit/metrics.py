@@ -32,6 +32,7 @@ from itertools import compress
 from typing import NamedTuple
 
 import numpy as np
+import numpy.ma  # noqa: F401  np.unique and np.percentile reach it; numpy 2 loads it lazily
 
 from .audio_io import Turn
 from .errors import (

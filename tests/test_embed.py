@@ -7,6 +7,7 @@ from diarkit.audio_io import AudioBuffer
 from diarkit.embed import (
     Embedding,
     MfccEmbedder,
+    _OrthoDct2,
     load_external_embeddings,
     mfcc_features,
     pool_embedding,
@@ -209,6 +210,25 @@ def test_embeddings_pool_the_whole_table_rows(base_dims):
         for width in (None, 13, 26, 39):
             got = embedder.features(buf, seg, width)
             assert np.array_equal(got, table[inside][:, :width]), (on, off, width)
+
+
+def test_dct_equals_scipy_bit_for_bit_on_every_length_and_column_count():
+    # Every filterbank size from 2 to 128 (odd, even and prime lengths) and
+    # every coefficient count below it, so the upper half of the columns
+    # and, for even lengths, the middle one are covered. Rows span 1e-5 to
+    # 1e5 in scale; the second call reuses the scratch for a short block.
+    from scipy.fft import dct
+
+    rng = np.random.default_rng(23)
+    for n in range(2, 129):
+        x = rng.standard_normal((37, n)) * 10.0 ** rng.uniform(-5.0, 5.0, (37, 1))
+        want = dct(x, 2, norm="ortho", axis=1).view(np.uint64)
+        for count in range(1, n):
+            transform = _OrthoDct2(n, count, 40)
+            scratch = transform.scratch()
+            for rows in (37, 5):
+                got = transform(x[:rows], np.empty((rows, count)), *scratch)
+                assert np.array_equal(got.view(np.uint64), want[:rows, 1 : count + 1]), (n, count)
 
 
 def test_embedding_validation():

@@ -87,6 +87,39 @@ def test_buffer_features_equal_the_fancy_index_oracle(rate):
         assert np.array_equal(_feature_rows(cepstra, 0, len(cepstra)), want), n
 
 
+class _ScipyDct:
+    """The front end's DCT as scipy computes it, with the same interface."""
+
+    def __init__(self, n, count, rows):
+        self.count = count
+
+    def scratch(self):
+        return ()
+
+    def __call__(self, x, out):
+        from scipy.fft import dct
+
+        out[...] = dct(x, 2, norm="ortho", axis=1)[:, 1 : self.count + 1]
+        return out
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+@pytest.mark.parametrize("n_mels, n_coeffs", [(2, 1), (7, 6), (8, 4), (8, 7), (23, 13), (40, 13)])
+def test_buffer_features_equal_those_from_scipys_dct(monkeypatch, n_mels, n_coeffs, cores):
+    # Odd and even filterbanks, coefficients past the middle, and a last
+    # block shorter than the others, on one worker and two. (The whole-
+    # buffer oracle cannot check small filterbanks: its one matrix product
+    # takes another BLAS path than the per-block ones.)
+    monkeypatch.setattr(embed, "_usable_cores", lambda: cores)
+    frame, hop = _frame_hop(16000, 25.0, 10.0)
+    buf = _signal((2 * _MFCC_BLOCK + 9) * hop + frame, 16000, seed=n_mels)
+    starts, cepstra = _buffer_features(buf, n_mels, n_coeffs, 25.0, 10.0)
+    monkeypatch.setattr(embed, "_OrthoDct2", _ScipyDct)
+    want_starts, want = _buffer_features(buf, n_mels, n_coeffs, 25.0, 10.0)
+    assert np.array_equal(starts, want_starts)
+    assert np.array_equal(cepstra.view(np.uint64), want.view(np.uint64))
+
+
 def _pool_sizes(monkeypatch, cores):
     """Patch the front end to see ``cores`` usable cores; the list fills
     with the thread count of every pool it starts."""

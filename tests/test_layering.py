@@ -1,6 +1,6 @@
 """Module layering: the library never reaches into the command line, only
 the corpus's worker helper reaches for processes, and no command loads
-scipy.optimize, scipy.spatial or scipy.cluster."""
+scipy."""
 
 import ast
 import os
@@ -102,38 +102,66 @@ def _scipy_imports(path):
     return found
 
 
-def test_no_module_imports_scipy_optimize_or_cluster():
-    for path in sorted(SRC.glob("*.py")):
-        for func, module in _scipy_imports(path):
-            top = ".".join(module.split(".")[:2])
-            assert top not in ("scipy.optimize", "scipy.cluster"), (path.name, module)
-            if top == "scipy.spatial":
-                assert (path.name, func) == ("cluster.py", "_pairwise"), (path.name, module)
+def test_the_only_scipy_import_is_pdist_in_pairwise():
+    found = [
+        (path.name, func, module)
+        for path in sorted(SRC.glob("*.py"))
+        for func, module in _scipy_imports(path)
+    ]
+    assert found == [("cluster.py", "_pairwise", "scipy.spatial.distance")]
 
 
-def test_diarize_and_evaluate_leave_scipy_optimize_spatial_and_cluster_unloaded(tmp_path):
+def test_importing_the_cli_loads_what_numpy_and_argparse_load_lazily():
+    # Loaded at import, so their import time falls in no command's steps.
+    code = """if True:
+        import sys
+        import diarkit.cli
+        wanted = ("numpy.fft", "numpy.random", "numpy.ma", "locale")
+        print([m for m in wanted if m not in sys.modules])
+    """
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert out.stdout.strip() == "[]"
+
+
+def test_no_command_loads_scipy(tmp_path):
     code = """if True:
         import sys
         import diarkit.cli
         from diarkit.audio_io import emit_rttm, write_wav
         from diarkit.corpus import generate_mixture
 
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+        print("scipy after import", scipy_modules())
         buf, turns = generate_mixture(2, 20.0, seed=3)
         write_wav("mix.wav", buf)
         with open("ref.rttm", "w", encoding="utf-8") as fh:
             fh.write(emit_rttm(turns))
-        main = diarkit.cli.main
-        assert main(["diarize", "mix.wav", "--out-rttm", "hyp.rttm"]) == 0
-        assert main(["diarize", "mix.wav", "--num-speakers", "2", "--out-rttm", "hyp.rttm"]) == 0
-        assert main(["evaluate", "--ref", "ref.rttm", "--hyp", "hyp.rttm",
-                     "--collar", "0.25", "--json", "report.json"]) == 0
-        loaded = ("scipy.optimize", "scipy.spatial", "scipy.cluster")
-        print(sorted(m for m in loaded if m in sys.modules))
+        steps = [
+            ["diarize", "mix.wav", "--out-rttm", "hyp.rttm"],
+            ["diarize", "mix.wav", "--num-speakers", "2", "--out-rttm", "hyp.rttm"],
+            ["diarize", "mix.wav", "--denoise", "--out-rttm", "denoised.rttm"],
+            ["augment", "mix.wav", "babble.wav", "--kind", "babble"],
+            ["evaluate", "--ref", "ref.rttm", "--hyp", "hyp.rttm",
+             "--collar", "0.25", "--json", "report.json"],
+            ["corpus", "corpus", "--layout", "1:1,2:1"],
+        ]
+        for argv in steps:
+            assert diarkit.cli.main(argv) == 0, argv
+            print("scipy after", argv[0], scipy_modules())
     """
     out = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True, text=True, check=True, cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(SRC.parent)},
     )
-    assert out.stdout.strip().splitlines()[-1] == "[]"
-    assert (tmp_path / "report.json").stat().st_size > 0
+    loaded = [line for line in out.stdout.splitlines() if line.startswith("scipy after")]
+    assert len(loaded) == 7
+    assert all(line.endswith(" []") for line in loaded), loaded
+    for name in ("denoised.rttm", "babble.wav", "report.json", "corpus/manifest.json"):
+        assert (tmp_path / name).stat().st_size > 0
