@@ -6,18 +6,18 @@ merged by an NN-chain (Müllner 2011) over one sum vector per cluster:
 the average cosine distance of clusters A and B is
 1 - sum(A) . sum(B) / (|A| |B|), so each step is one mat-vec over the
 live clusters, which are kept in the leading rows, and no pairwise
-distance is stored. The merges are sorted into scipy's ``linkage``
-layout and read back as the greedy merge sequence: each merge takes
-the pair of clusters with the smallest average distance. Ties between
-copies of one vector fall to the pair whose member segments come first;
-distinct pairs whose distances tie mathematically (small-integer
-vectors, say) merge in the order rounding gives their computed
-distances.
+distance is stored. The greedy merge sequence, in which each merge
+takes the pair of clusters with the smallest average distance, is read
+off the chain. Ties between copies of one vector fall to the pair whose
+member segments come first; distinct pairs whose distances tie
+mathematically (small-integer vectors, say) merge in the order rounding
+gives their computed distances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -50,15 +50,18 @@ def cosine_distance(a, b) -> float:
 
     Computed as half the squared distance between the unit vectors, the
     same per-pair value clustering uses, so copies read exactly 0.
-    Raises ZeroVector on a zero input and DimMismatch on unequal dims.
+    Raises ZeroVector on a zero input, DimMismatch on unequal dims and
+    ValueError on a NaN or infinite component.
     """
-    return float(_pairwise([a, b])[0])
+    u, v = _unit_rows([a, b])
+    return min(0.5 * float(np.sum((u - v) ** 2)), 2.0)
 
 
 def _unit_rows(embs) -> np.ndarray:
     """The embeddings as an (n, dim) matrix of unit rows.
 
-    Raises DimMismatch on unequal dims and ZeroVector on a zero vector.
+    Raises DimMismatch on unequal dims, ZeroVector on a zero vector and
+    ValueError on a NaN or infinite component.
     """
     vectors = [_vec(e) for e in embs]
     dims = {v.shape for v in vectors}
@@ -68,17 +71,10 @@ def _unit_rows(embs) -> np.ndarray:
     norms = np.linalg.norm(matrix, axis=1)
     if np.any(norms == 0.0):
         raise ZeroVector("embeddings must be nonzero for cosine distances")
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("embeddings must be finite")
     matrix /= norms[:, None]
     return matrix
-
-
-def _pairwise(embs) -> np.ndarray:
-    """Cosine distances of every pair i < j, in scipy's condensed layout."""
-    unit = _unit_rows(embs)
-    from scipy.spatial.distance import pdist  # on first use: no command needs it
-    # |u - v|^2 = 2 - 2 cos for unit u, v; bitwise-equal rows give 0.
-    d = pdist(unit, "sqeuclidean")
-    return np.minimum(np.multiply(d, 0.5, out=d), 2.0, out=d)
 
 
 def agglomerative_cluster(embs, stop) -> ClusterResult:
@@ -89,7 +85,8 @@ def agglomerative_cluster(embs, stop) -> ClusterResult:
     dense, numbered by each cluster's first segment; merge_trace rows
     are (first index of a, first index of b, distance) with a before b.
 
-    Raises EmptyInput on no embeddings and KTooLarge when k exceeds n.
+    Raises EmptyInput on no embeddings, KTooLarge when k exceeds n and
+    ValueError on a malformed stop or a non-finite embedding.
     """
     n = len(embs)
     if n == 0:
@@ -98,17 +95,19 @@ def agglomerative_cluster(embs, stop) -> ClusterResult:
         raise ValueError('stop must be {"threshold": t} or {"k": k}')
     threshold = stop.get("threshold")
     k = stop.get("k")
-    if k is not None:
+    if "k" in stop:
         if int(k) != k or k < 1:
             raise ValueError("k must be a positive integer")
         k = int(k)
         if k > n:
             raise KTooLarge(f"k={k} exceeds {n} embeddings")
+    elif isinstance(threshold, bool) or not (isinstance(threshold, Real) and 0 <= threshold < np.inf):
+        raise ValueError("threshold must be a finite number >= 0")
 
     unit = _unit_rows(embs)
     if n == 1:
         return ClusterResult(labels=(0,), merge_trace=())
-    trace = _greedy_trace(_linkage(unit), n)
+    trace = _linkage(unit)
     trace = trace[: n - k] if k is not None else [m for m in trace if m[2] <= threshold]
 
     # A merge joins the clusters whose first members are lo < hi; point
@@ -122,22 +121,29 @@ def agglomerative_cluster(embs, stop) -> ClusterResult:
     return ClusterResult(labels=tuple(labels.tolist()), merge_trace=tuple(trace))
 
 
-def _linkage(unit: np.ndarray) -> np.ndarray:
-    """Average-linkage merge tree of n >= 2 unit rows, as the rows
-    (cluster a, cluster b, distance) of scipy's ``linkage`` output.
+def _linkage(unit: np.ndarray) -> list[tuple[int, int, float]]:
+    """Average-linkage merges of n >= 2 unit rows, as the merge_trace
+    rows (first of a, first of b, distance) in greedy order.
 
     Copies merge first at 0, each into the first row of its group. The
     chain then runs over the distinct rows, each weighted by its count.
+    Merges tied at one distance each join the first member of the
+    cluster they build together, smallest (lo, hi) first: the greedy
+    order when tied clusters are equidistant, as copies of a vector are.
     """
-    n = len(unit)
-    if not np.all(np.isfinite(unit)):
-        raise ValueError("embeddings must be finite")
     order = np.lexsort(unit.T[::-1])  # stable: each group of copies ascends
     rows = unit[order]
     new = np.concatenate(([True], np.any(rows[1:] != rows[:-1], axis=1)))
     del rows
     firsts = order[new][np.cumsum(new) - 1]  # each sorted row's group's first
-    merges = [(a, b, 0.0) for a, b in zip(firsts[~new].tolist(), order[~new].tolist())]
+    # Merges are [distance, lo, hi] in the order made, lo < hi the first
+    # members of the clusters joined; taken_by[i] is the later merge that
+    # joins merge i's cluster. A group's copies merge one into the next.
+    merges = [[0.0, a, b] for a, b in zip(firsts[~new].tolist(), order[~new].tolist())]
+    taken_by = [None] * (len(unit) - 1)
+    for i in range(1, len(merges)):
+        if merges[i][1] == merges[i - 1][1]:
+            taken_by[i - 1] = i
 
     # Live clusters sit in rows [0, live), in order of first member at
     # the start; a merge frees one row and the last live row moves in.
@@ -145,6 +151,8 @@ def _linkage(unit: np.ndarray) -> np.ndarray:
     sums = unit[first] * count[:, None]
     size = count.astype(np.float64)
     first = first.tolist()
+    last_copy = {a: i for i, (_, a, _) in enumerate(merges)}
+    made = [last_copy.get(f) for f in first]  # the merge that built each row
     chain: list[int] = []
     live = len(first)
     while live > 1:
@@ -161,57 +169,28 @@ def _linkage(unit: np.ndarray) -> np.ndarray:
             # chain cannot cycle.
             y = chain[-2]
             del chain[-2:]
-            merges.append((first[x], first[y], float(d[y])))
             lo, hi = min(x, y), max(x, y)
+            for m in (made[lo], made[hi]):
+                if m is not None:
+                    taken_by[m] = len(merges)
+            merges.append([float(d[y]), min(first[x], first[y]), max(first[x], first[y])])
             sums[lo] += sums[hi]
             size[lo] += size[hi]
             first[lo] = min(first[lo], first[hi])
+            made[lo] = len(merges) - 1
             live -= 1
-            sums[hi], size[hi], first[hi] = sums[live], size[live], first[live]
+            sums[hi], size[hi], first[hi], made[hi] = sums[live], size[live], first[live], made[live]
             chain = [hi if c == live else c for c in chain]
         else:
             chain.append(y)
 
-    # scipy's layout: rows sorted by distance (stably, so children stay
-    # ahead of their parents), clusters named n + the row that made them.
-    merges.sort(key=lambda m: m[2])
-    parent = list(range(2 * n - 1))
-
-    def root(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    z = []
-    for row, (a, b, dist) in enumerate(merges, start=n):
-        a, b = root(a), root(b)
-        parent[a] = parent[b] = row
-        z.append((a, b, dist))
-    return np.array(z, dtype=np.float64)
-
-
-def _greedy_trace(z: np.ndarray, n: int) -> list[tuple[int, int, float]]:
-    """scipy linkage rows as (first of a, first of b, distance) rows.
-
-    Average linkage is monotone, so the rows come in order of distance.
-    Merges at one distance are re-expressed as the tie rule takes them:
-    each joins the first member of the cluster they build together,
-    smallest (lo, hi) first. That is the greedy order exactly when tied
-    clusters are equidistant, as copies of one vector are.
-    """
-    dist = z[:, 2].tolist()
-    first, hi = list(range(n)), []
-    parent = [None] * (2 * n - 1)  # row that consumes each cluster
-    for i, (a, b) in enumerate(z[:, :2].astype(np.int64).tolist()):
-        first.append(min(first[a], first[b]))
-        hi.append(max(first[a], first[b]))
-        parent[a] = parent[b] = i
-    lo = first[n:]
-    for i in reversed(range(n - 1)):
-        p = parent[n + i]
-        if p is not None and dist[p] == dist[i]:
-            lo[i] = lo[p]
-    return [(a, b, d) for d, a, b in sorted(zip(dist, lo, hi))]
+    # Latest first: a merge taken at its own distance reads its taker's final lo.
+    for i in reversed(range(len(merges))):
+        p = taken_by[i]
+        if p is not None and merges[p][0] == merges[i][0]:
+            merges[i][1] = merges[p][1]
+    merges.sort()
+    return [(lo, hi, d) for d, lo, hi in merges]
 
 
 def labels_to_turns(

@@ -5,12 +5,7 @@ import time
 import numpy as np
 import pytest
 
-from diarkit.cluster import (
-    _pairwise,
-    agglomerative_cluster,
-    cosine_distance,
-    labels_to_turns,
-)
+from diarkit.cluster import agglomerative_cluster, cosine_distance, labels_to_turns
 from diarkit.embed import Embedding
 from diarkit.errors import (
     DimMismatch,
@@ -47,6 +42,9 @@ def test_cosine_errors():
         cosine_distance([0.0, 0.0], [1.0, 0.0])
     with pytest.raises(DimMismatch):
         cosine_distance([1.0, 0.0], [1.0, 0.0, 0.0])
+    for bad in ([np.nan, 1.0], [np.inf, 1.0], [1.0, -np.inf]):
+        with pytest.raises(ValueError, match="finite"):
+            cosine_distance(bad, [1.0, 0.0])
 
 
 def test_k_equals_n_is_all_singletons():
@@ -167,6 +165,46 @@ def test_cluster_errors():
         agglomerative_cluster(_embs(np.eye(3)), {"bogus": 1})
     with pytest.raises(ValueError):
         agglomerative_cluster(_embs(np.eye(3)), {"k": 0})
+    for t in (np.nan, -1.0, np.inf, "0.4", None, True):
+        with pytest.raises(ValueError, match="threshold"):
+            agglomerative_cluster(_embs(np.eye(3)), {"threshold": t})
+    for rows in ([[np.nan, 1.0]], [[np.nan, 1.0], [1.0, 0.0]], [[1.0, 0.0], [np.inf, 1.0]]):
+        for stop in ({"k": 1}, {"threshold": 0.5}):
+            with pytest.raises(ValueError, match="finite"):
+                agglomerative_cluster(_embs(rows), stop)
+
+
+def test_a_merge_tied_with_the_one_that_takes_its_cluster_reports_its_first_member():
+    # In the first set the chain joins rows 6 and 7, then row 3 to {6, 7},
+    # both at one computed distance (1/2 + 1 ulp). Greedily, both merges
+    # build the cluster whose first member is 3, so (6, 7) reads (3, 7).
+    # The second set needs the rule after live rows have moved up.
+    first = [
+        [0, 1, 1, 0, 0, 0], [0, 1, 0, 0, 0, 1], [0, 0, 0, 0, 0, 1], [1, 0, 0, 1, 0, 0],
+        [0, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1], [0, 0, 0, 1, 1, 0], [0, 0, 1, 1, 0, 0],
+    ]
+    second = [
+        [0, 0, 1, 1, 1, 0], [1, 0, 0, 0, 0, 1], [1, 1, 1, 0, 1, 0], [0, 1, 0, 0, 1, 0],
+        [1, 0, 0, 0, 0, 0],
+    ]
+    for rows in (first, second):
+        res = agglomerative_cluster(_embs(rows), {"k": 1})
+        labels, trace = average_linkage_oracle(rows, k=1)
+        assert list(res.labels) == labels
+        pairs = [(a, b) for a, b, _ in res.merge_trace]
+        assert pairs == [(a, b) for a, b, _ in trace]
+        if rows is first:
+            assert (3, 7) in pairs and (6, 7) not in pairs
+
+
+def test_rows_a_scale_apart_read_at_zero_merge_as_one_vectors_copies():
+    # 3a normalises one ulp away from a, so the rows are no copies, but
+    # the chain reads their distance as exactly 0. Every merge is then at
+    # 0 and reports the first member of the one cluster they all build.
+    a = np.array([1.0, 2.0, 1.0])
+    assert not np.array_equal(a / np.linalg.norm(a), 3 * a / np.linalg.norm(3 * a))
+    res = agglomerative_cluster(_embs([a, 3 * a] * 3), {"k": 1})
+    assert res.merge_trace == tuple((0, b, 0.0) for b in range(1, 6))
 
 
 # --- labels_to_turns ---
@@ -235,8 +273,8 @@ def test_condensed_distances_are_per_pair_and_copies_read_zero():
         pts = rng.normal(size=(n, 8))
         if case % 2:  # duplicate-heavy
             pts = pts[rng.integers(0, max(1, n // 4), size=n)]
-        got = _pairwise(_embs(pts))
         i, j = np.triu_indices(n, k=1)
+        got = np.array([cosine_distance(pts[a], pts[b]) for a, b in zip(i, j)])
         want = cosine_pairs_oracle(pts)[i, j]
         assert np.allclose(got, want, rtol=0.0, atol=1e-15), case
         copies = np.all(pts[i] == pts[j], axis=1)
