@@ -33,6 +33,12 @@ CANONICAL_RATE_HZ = 16000
 
 _FMT_PCM = 0x0001
 _FMT_IEEE_FLOAT = 0x0003
+# The on-disk layouts, read and written through these: the RIFF header
+# (b"RIFF", size, b"WAVE"), a chunk header (id, size) and the fmt body
+# (codec, channels, rate, byte rate, block align, bits per sample).
+_RIFF = struct.Struct("<4sI4s")
+_CHUNK = struct.Struct("<4sI")
+_FMT = struct.Struct("<HHIIHH")
 
 # Resampler kernel: Kaiser-windowed sinc, 16 zero crossings per side at the
 # lower of the two rates, tabulated once per call by fractional input offset.
@@ -195,27 +201,28 @@ class WavSource:
 def _wav_layout(fd: int, path) -> tuple[int, int, int, int]:
     """(data offset, sample count, rate, bits per sample) of an open WAV."""
     size = os.fstat(fd).st_size
-    head = os.pread(fd, 12, 0)
-    if len(head) < 12 or head[0:4] != b"RIFF":
+    head = os.pread(fd, _RIFF.size, 0)
+    if len(head) < _RIFF.size or head[0:4] != b"RIFF":
         raise CorruptHeader(f"{path}: not a RIFF file")
-    if head[8:12] != b"WAVE":
+    if _RIFF.unpack(head)[2] != b"WAVE":
         raise CorruptHeader(f"{path}: RIFF without WAVE form type")
 
     fmt = None
     data = None  # (offset, size) of the data chunk's body
-    pos = 12
-    while pos + 8 <= size:
-        chunk_id, chunk_size = struct.unpack("<4sI", os.pread(fd, 8, pos))
+    pos = _RIFF.size
+    while pos + _CHUNK.size <= size:
+        chunk_id, chunk_size = _CHUNK.unpack(os.pread(fd, _CHUNK.size, pos))
+        pos += _CHUNK.size
         if chunk_id == b"fmt ":
-            body = os.pread(fd, min(chunk_size, 16), pos + 8)
-            if len(body) < 16:
+            body = os.pread(fd, min(chunk_size, _FMT.size), pos)
+            if len(body) < _FMT.size:
                 raise CorruptHeader(f"{path}: fmt chunk too small")
-            fmt = struct.unpack("<HHIIHH", body)
+            fmt = _FMT.unpack(body)
         elif chunk_id == b"data":
-            if pos + 8 + chunk_size > size:
+            if pos + chunk_size > size:
                 raise CorruptHeader(f"{path}: data chunk truncated")
-            data = (pos + 8, chunk_size)
-        pos += 8 + chunk_size + (chunk_size & 1)  # chunks are word-aligned
+            data = (pos, chunk_size)
+        pos += chunk_size + (chunk_size & 1)  # chunks are word-aligned
 
     if fmt is None or data is None:
         raise CorruptHeader(f"{path}: missing fmt or data chunk")
@@ -262,26 +269,12 @@ def write_wav(path: str | os.PathLike, buf: AudioBuffer, bit_depth: int | str = 
     else:
         raise ValueError(f"bit_depth must be 16 or 'f32', got {bit_depth!r}")
 
-    block_align = bits // 8
-    header = b"".join(
-        [
-            b"RIFF",
-            struct.pack("<I", 36 + payload.nbytes),
-            b"WAVE",
-            b"fmt ",
-            struct.pack(
-                "<IHHIIHH",
-                16,
-                audio_format,
-                1,
-                buf.sample_rate_hz,
-                buf.sample_rate_hz * block_align,
-                block_align,
-                bits,
-            ),
-            b"data",
-            struct.pack("<I", payload.nbytes),
-        ]
+    block_align, rate = bits // 8, buf.sample_rate_hz
+    header = (
+        _RIFF.pack(b"RIFF", 36 + payload.nbytes, b"WAVE")
+        + _CHUNK.pack(b"fmt ", _FMT.size)
+        + _FMT.pack(audio_format, 1, rate, rate * block_align, block_align, bits)
+        + _CHUNK.pack(b"data", payload.nbytes)
     )
     with open(path, "wb") as fh:
         fh.write(header)

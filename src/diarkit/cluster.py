@@ -48,8 +48,10 @@ def _vec(x) -> np.ndarray:
 def cosine_distance(a, b) -> float:
     """1 minus the cosine of the angle between two vectors, in [0, 2].
 
-    Computed as half the squared distance between the unit vectors, the
-    same per-pair value clustering uses, so copies read exactly 0.
+    Computed as half the squared distance between the unit vectors, so
+    copies read exactly 0. Clustering reads its distances off cluster
+    sums instead, 1 - sum(A) . sum(B) / (|A| |B|), which can differ
+    from this in the last bits.
     Raises ZeroVector on a zero input, DimMismatch on unequal dims and
     ValueError on a NaN or infinite component.
     """
@@ -160,6 +162,7 @@ def _linkage(unit: np.ndarray) -> list[tuple[int, int, float]]:
             chain.append(0)
         x = chain[-1]
         d = 1.0 - (sums[:live] @ sums[x]) / (size[:live] * size[x])
+        np.maximum(d, 0.0, out=d)  # nearly parallel rows can read -1 ulp
         d[x] = np.inf
         y = int(d.argmin())
         if len(chain) > 1 and (d[chain[-2]] <= d[y] or y in chain):

@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import math
 import threading
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import asdict, dataclass
 from itertools import starmap
 from pathlib import Path
 
@@ -337,16 +338,6 @@ class ManifestEntry:
     rttm_path: str
     split: str
 
-    def to_dict(self) -> dict:
-        return {
-            "path": self.path,
-            "folder": self.folder,
-            "duration_s": self.duration_s,
-            "speaker_ids": list(self.speaker_ids),
-            "rttm_path": self.rttm_path,
-            "split": self.split,
-        }
-
 
 @dataclass(frozen=True)
 class CorpusManifest:
@@ -355,14 +346,11 @@ class CorpusManifest:
     entries: tuple[ManifestEntry, ...]
     seed: int
 
-    def folder_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for e in self.entries:
-            counts[e.folder] = counts.get(e.folder, 0) + 1
-        return counts
+    def folder_counts(self) -> Counter[int]:
+        return Counter(e.folder for e in self.entries)
 
     def to_dict(self) -> dict:
-        return {"seed": self.seed, "entries": [e.to_dict() for e in self.entries]}
+        return {"seed": self.seed, "entries": [asdict(e) for e in self.entries]}
 
     def save(self, path) -> None:
         try:

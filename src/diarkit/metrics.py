@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import compress
 from typing import NamedTuple
 
@@ -69,16 +69,6 @@ class DerReport:
         if abs(self.der - expect) > 1e-9 * max(1.0, expect):
             raise ValueError("der does not equal its components' ratio")
 
-    def to_dict(self) -> dict:
-        return {
-            "missed_s": self.missed_s,
-            "false_alarm_s": self.false_alarm_s,
-            "confusion_s": self.confusion_s,
-            "total_ref_speech_s": self.total_ref_speech_s,
-            "der": self.der,
-            "mapping": dict(self.mapping),
-        }
-
 
 @dataclass(frozen=True)
 class MetricReport:
@@ -100,14 +90,7 @@ class MetricReport:
             raise ValueError("eer must be in [0, 0.5]")
 
     def to_dict(self) -> dict:
-        return {
-            "der": self.der.to_dict(),
-            "jer": self.jer,
-            "cluster_purity": self.cluster_purity,
-            "snr_db": self.snr_db,
-            "eer": self.eer,
-            "relative_improvement": self.relative_improvement,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
@@ -344,15 +327,15 @@ def _in_order(terms: np.ndarray) -> float:
 class _Tally(NamedTuple):
     """Kept intervals with each side's speech counted per speaker, the
     time each (r_spk[i], h_spk[j]) pair speaks together summed in
-    interval order, the overlap-maximizing speaker map, and the
-    hypothesis time credited to the reference speaker each hypothesis
-    speaker overlaps most."""
+    interval order, the overlap-maximizing speaker map as the index
+    pairs {i: j} whose overlap is > 0, and the hypothesis time credited
+    to the reference speaker each hypothesis speaker overlaps most."""
 
     intervals: _Intervals
     ref_s: float
     hyp_s: float
     overlap: np.ndarray
-    mapping: dict
+    pairs: dict
     credit: float
 
 
@@ -365,9 +348,7 @@ def _tally(iv: _Intervals) -> _Tally:
         for j in np.flatnonzero(hyp.any(axis=0)):
             overlap[i, j] = _in_order(d[hyp[:, j]])
     pairs = hungarian_assign(-overlap) if overlap.size else {}
-    mapping = {
-        iv.r_spk[i]: iv.h_spk[j] for i, j in pairs.items() if overlap[i, j] > 0.0
-    }
+    pairs = {i: j for i, j in pairs.items() if overlap[i, j] > 0.0}
     ref_s = _in_order(iv.d * iv.ref.sum(axis=1))
     hyp_s = _in_order(iv.d * iv.hyp.sum(axis=1))
     credit = 0.0
@@ -375,7 +356,7 @@ def _tally(iv: _Intervals) -> _Tally:
         credit += best
     # Summed in another order than hyp_s, credit can pass it by an ulp.
     credit = min(credit, hyp_s)
-    return _Tally(iv, ref_s, hyp_s, overlap, mapping, credit)
+    return _Tally(iv, ref_s, hyp_s, overlap, pairs, credit)
 
 
 def _check_collar(collar_s: float) -> None:
@@ -389,28 +370,24 @@ def _der(t: _Tally) -> DerReport:
     iv = t.intervals
     n_ref, n_hyp = iv.ref.sum(axis=1), iv.hyp.sum(axis=1)
     n_correct = np.zeros_like(n_ref)
-    for r, h in t.mapping.items():
-        n_correct += iv.ref[:, iv.r_spk.index(r)] & iv.hyp[:, iv.h_spk.index(h)]
+    for i, j in t.pairs.items():
+        n_correct += iv.ref[:, i] & iv.hyp[:, j]
     missed = _in_order(iv.d * np.maximum(0, n_ref - n_hyp))
     fa = _in_order(iv.d * np.maximum(0, n_hyp - n_ref))
     confusion = _in_order(iv.d * (np.minimum(n_ref, n_hyp) - n_correct))
     der = (missed + fa + confusion) / t.ref_s
-    return DerReport(missed, fa, confusion, t.ref_s, der, t.mapping)
+    mapping = {iv.r_spk[i]: iv.h_spk[j] for i, j in t.pairs.items()}
+    return DerReport(missed, fa, confusion, t.ref_s, der, mapping)
 
 
 def _jer(t: _Tally) -> float:
     if t.ref_s <= 0.0:
         raise EmptyReference("reference contains no speech")
     iv = t.intervals
-    errors = []
-    for i, r in enumerate(iv.r_spk):
-        h = t.mapping.get(r)
-        if h is None:
-            errors.append(1.0)
-            continue
-        j = iv.h_spk.index(h)
+    errors = [1.0] * len(iv.r_spk)  # an unmapped speaker's error is 1
+    for i, j in t.pairs.items():
         union = _in_order(iv.d[iv.ref[:, i] | iv.hyp[:, j]])
-        errors.append(1.0 - float(t.overlap[i, j]) / union)
+        errors[i] = 1.0 - float(t.overlap[i, j]) / union
     return float(np.mean(errors))
 
 

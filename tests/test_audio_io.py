@@ -3,7 +3,16 @@ import struct
 import numpy as np
 import pytest
 
-from diarkit.audio_io import AudioBuffer, Turn, emit_rttm, parse_rttm, read_wav, resample, write_wav
+from diarkit.audio_io import (
+    AudioBuffer,
+    Turn,
+    WavSource,
+    emit_rttm,
+    parse_rttm,
+    read_wav,
+    resample,
+    write_wav,
+)
 from diarkit.errors import (
     CorruptHeader,
     EmptyBuffer,
@@ -68,6 +77,38 @@ def test_wav_full_scale_clamps_to_32767(tmp_path):
     raw = p.read_bytes()
     ints = struct.unpack("<2h", raw[44:48])
     assert ints == (32767, -32768)
+
+
+# Three samples, 0.5, -0.25 and +1.0 (which PCM16 clamps to 32767), at
+# 16 kHz: the whole file, header field by header field.
+_GOLDEN_WAVS = {
+    16: (
+        b"RIFF" b"\x2a\x00\x00\x00" b"WAVE"
+        b"fmt " b"\x10\x00\x00\x00"
+        b"\x01\x00" b"\x01\x00" b"\x80\x3e\x00\x00" b"\x00\x7d\x00\x00" b"\x02\x00" b"\x10\x00"
+        b"data" b"\x06\x00\x00\x00"
+        b"\x00\x40" b"\x00\xe0" b"\xff\x7f"
+    ),
+    "f32": (
+        b"RIFF" b"\x30\x00\x00\x00" b"WAVE"
+        b"fmt " b"\x10\x00\x00\x00"
+        b"\x03\x00" b"\x01\x00" b"\x80\x3e\x00\x00" b"\x00\xfa\x00\x00" b"\x04\x00" b"\x20\x00"
+        b"data" b"\x0c\x00\x00\x00"
+        b"\x00\x00\x00\x3f" b"\x00\x00\x80\xbe" b"\x00\x00\x80\x3f"
+    ),
+}
+
+
+@pytest.mark.parametrize("bit_depth", [16, "f32"])
+def test_wav_writer_bytes_equal_the_literal_riff_file(tmp_path, bit_depth):
+    p = tmp_path / "three.wav"
+    write_wav(p, AudioBuffer(np.array([0.5, -0.25, 1.0], dtype=np.float32), 16000), bit_depth)
+    assert p.read_bytes() == _GOLDEN_WAVS[bit_depth]
+    with WavSource(p) as src:
+        assert (len(src), src.sample_rate_hz) == (3, 16000)
+        back = src.read(0, 3)
+    last = 32767 / 32768 if bit_depth == 16 else 1.0
+    assert back.tolist() == [0.5, -0.25, np.float32(last)]
 
 
 def test_wav_rejects_non_riff(tmp_path):

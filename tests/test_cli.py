@@ -388,6 +388,25 @@ def test_diarize_manifest_batch_covers_every_entry(corpus_dir, tmp_path, capsys)
     assert "diarized 3/3 files" in capsys.readouterr().out
 
 
+def test_diarize_manifest_reports_a_failed_file_and_writes_the_others(corpus_dir, tmp_path, capsys):
+    root = tmp_path / "corpus"
+    shutil.copytree(corpus_dir, root)
+    bad = root / "2" / "2_001.wav"
+    bad.write_bytes(bad.read_bytes()[:-2])
+    out_dir = tmp_path / "hyp"
+    capsys.readouterr()
+    rc = main(["diarize", str(root / "manifest.json"), "--out-dir", str(out_dir)])
+    assert rc == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert f"diarized 2/3 files into {out_dir}" in captured.out
+    assert captured.err == f"failed 2/2_001.wav: {bad}: data chunk truncated\n"
+    assert sorted(p.name for p in out_dir.glob("*.rttm")) == ["0_000.rttm", "2_000.rttm"]
+    for stem in ("0/0_000", "2/2_000"):
+        single = tmp_path / "single.rttm"
+        assert main(["diarize", str(root / f"{stem}.wav"), "--out-rttm", str(single)]) == EXIT_OK
+        assert (out_dir / f"{stem[2:]}.rttm").read_bytes() == single.read_bytes()
+
+
 def test_diarize_manifest_parallel_matches_serial(corpus_dir, tmp_path):
     serial, parallel = tmp_path / "s", tmp_path / "p"
     main(["diarize", str(corpus_dir / "manifest.json"), "--out-dir", str(serial)])

@@ -207,6 +207,21 @@ def test_rows_a_scale_apart_read_at_zero_merge_as_one_vectors_copies():
     assert res.merge_trace == tuple((0, b, 0.0) for b in range(1, 6))
 
 
+@pytest.mark.parametrize("stop", [{"k": 1}, {"threshold": 2.0}])
+def test_merge_distances_of_nearly_parallel_rows_are_never_negative(stop):
+    # Integer rows and their multiples normalise to unit rows an ulp or
+    # so apart, where 1 - sum(A) . sum(B) / (|A| |B|) can round below 0.
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        a, b = rng.integers(-4, 5, size=(2, 3)).astype(float)
+        if not (a.any() and b.any()):
+            continue
+        rows = [a, 2 * a, 3 * a, b, 5 * b, 7 * a][: rng.integers(3, 7)]
+        res = agglomerative_cluster(_embs(rows), stop)
+        assert len(res.merge_trace) == len(rows) - 1
+        assert all(0.0 <= d <= 2.0 for _, _, d in res.merge_trace), (rows, res.merge_trace)
+
+
 # --- labels_to_turns ---
 
 
