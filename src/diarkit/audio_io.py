@@ -281,9 +281,28 @@ def write_wav(path: str | os.PathLike, buf: AudioBuffer, bit_depth: int | str = 
         fh.write(payload)
 
 
-def parse_rttm(text: str) -> list[Turn]:
-    """Parse SPEAKER lines of an RTTM document into Turns, order preserved."""
-    turns: list[Turn] = []
+@dataclass(frozen=True)
+class TurnColumns:
+    """Turns as four parallel columns, one row per turn, for scoring."""
+
+    file_id: list[str] = field(default_factory=list)
+    speaker_id: list[str] = field(default_factory=list)
+    onset_s: list[float] = field(default_factory=list)
+    duration_s: list[float] = field(default_factory=list)
+
+    def by_file(self) -> dict[str, TurnColumns]:
+        """The rows grouped by file_id, in order of first appearance."""
+        rows: dict[str, list[int]] = {}
+        for i, fid in enumerate(self.file_id):
+            rows.setdefault(fid, []).append(i)
+        cols = (self.file_id, self.speaker_id, self.onset_s, self.duration_s)
+        return {fid: TurnColumns(*([c[i] for i in idx] for c in cols)) for fid, idx in rows.items()}
+
+
+def rttm_columns(text: str) -> TurnColumns:
+    """Parse SPEAKER lines of an RTTM document into columns, order preserved."""
+    cols = TurnColumns()
+    files, speakers, onsets, durations = cols.file_id, cols.speaker_id, cols.onset_s, cols.duration_s
     for line_no, line in enumerate(text.splitlines(), start=1):
         fields = line.split()
         if not fields:
@@ -301,8 +320,17 @@ def parse_rttm(text: str) -> list[Turn]:
             raise NonPositiveDuration(line_no, f"duration {duration} must be > 0")
         if onset < 0:
             raise NonNumericTime(line_no, f"onset {onset} must be >= 0")
-        turns.append(Turn(file_id=fields[1], speaker_id=fields[7], onset_s=onset, duration_s=duration))
-    return turns
+        files.append(fields[1])
+        speakers.append(fields[7])
+        onsets.append(onset)
+        durations.append(duration)
+    return cols
+
+
+def parse_rttm(text: str) -> list[Turn]:
+    """Parse SPEAKER lines of an RTTM document into Turns, order preserved."""
+    cols = rttm_columns(text)
+    return list(map(Turn, cols.file_id, cols.speaker_id, cols.onset_s, cols.duration_s))
 
 
 def emit_rttm(turns: list[Turn]) -> str:

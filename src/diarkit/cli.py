@@ -20,7 +20,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
-from .audio_io import Turn, WavSource, emit_rttm, parse_rttm, read_wav, write_wav
+from .audio_io import TurnColumns, WavSource, emit_rttm, parse_rttm, read_wav, rttm_columns, write_wav
 from .augment import AugmentSpec, add_noise, augment_file, rescale_turns
 from .corpus import DEFAULT_LAYOUT, DEFAULT_SPLIT, CorpusManifest, generate_dataset
 from .embed import load_external_embeddings, write_embeddings
@@ -159,38 +159,36 @@ def cmd_diarize(args) -> int:
     return EXIT_OK
 
 
-def _collect_rttms(path: Path, skip: Path | None = None) -> dict[str, list[Turn]]:
+def _collect_rttms(path: Path, skip: tuple[Path, ...] = ()) -> dict[str, TurnColumns]:
     """Pairing table: directory inputs key by RTTM stem, single files by
     the file_id column (one RTTM may describe several recordings).
 
-    A directory walk leaves out every file under ``skip`` and raises
-    PairingError when two RTTMs share a stem.
+    A directory walk leaves out every file under a path in ``skip`` and
+    raises PairingError when two RTTMs share a stem.
     """
-    table: dict[str, list[Turn]] = {}
-    if path.is_dir():
-        found: dict[str, Path] = {}
-        for f in sorted(path.glob("**/*.rttm")):
-            if skip is not None and f.resolve().is_relative_to(skip):
-                continue
-            if f.stem in found:
-                raise PairingError(f"two RTTMs with stem {f.stem!r}: {found[f.stem]} and {f}")
-            found[f.stem] = f
-            table[f.stem] = parse_rttm(f.read_text(encoding="utf-8"))
-    else:
-        turns = parse_rttm(path.read_text(encoding="utf-8"))
-        for turn in turns:
-            table.setdefault(turn.file_id, []).append(turn)
-        if not turns:
-            table[path.stem] = []
+    if not path.is_dir():
+        cols = rttm_columns(path.read_text(encoding="utf-8"))
+        return cols.by_file() if cols.file_id else {path.stem: cols}
+    table: dict[str, TurnColumns] = {}
+    found: dict[str, Path] = {}
+    for f in sorted(path.glob("**/*.rttm")):
+        if any(f.resolve().is_relative_to(s) for s in skip):
+            continue
+        if f.stem in found:
+            raise PairingError(f"two RTTMs with stem {f.stem!r}: {found[f.stem]} and {f}")
+        found[f.stem] = f
+        table[f.stem] = rttm_columns(f.read_text(encoding="utf-8"))
     return table
 
 
 def cmd_evaluate(args) -> int:
     ref_path, hyp_path = Path(args.ref), Path(args.hyp)
-    # Hypotheses written inside the reference tree (diarize's default
-    # out-dir) must not be read as references.
-    skip = hyp_path.resolve()
-    ref_table = _collect_rttms(ref_path, skip=skip if skip != ref_path.resolve() else None)
+    # Hypotheses inside the reference tree are not references: the --hyp
+    # tree, and the hyp/ that diarize writes beside a manifest by default.
+    skip = {hyp_path.resolve()}
+    if (ref_path / "manifest.json").is_file():
+        skip.add((ref_path / "hyp").resolve())
+    ref_table = _collect_rttms(ref_path, tuple(skip - {ref_path.resolve()}))
     hyp_table = _collect_rttms(hyp_path)
     unmatched = sorted(set(ref_table) - set(hyp_table))
     if unmatched:

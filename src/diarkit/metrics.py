@@ -7,6 +7,9 @@ each interval contributes duration * (max(Nref, Nhyp) - Ncorrect) split
 into missed, false-alarm, and confusion time. Overlapping speech is
 counted per speaker, so DER can exceed 1.
 
+A file is scored from its turn columns (``TurnColumns``: file ids,
+speaker ids, onsets, durations), which ``rttm_columns`` parses without a
+Turn object per line; a Turn list goes through one conversion to them.
 The partition is held as arrays: the kept intervals' durations and two
 (intervals, speakers) masks of who speaks in each, built from the
 sorted unique boundaries with searchsorted and a running count of
@@ -34,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 import numpy.ma  # noqa: F401  np.unique and np.percentile reach it; numpy 2 loads it lazily
 
-from .audio_io import Turn
+from .audio_io import Turn, TurnColumns
 from .errors import (
     EmptyInput,
     EmptyMatrix,
@@ -223,10 +226,21 @@ def hungarian_assign(cost) -> dict[int, int]:
     return assigned
 
 
-def _single_file_id(ref: list[Turn], hyp: list[Turn]) -> None:
-    ids = {t.file_id for t in ref} | {t.file_id for t in hyp}
+def _columns(turns: TurnColumns | list[Turn]) -> TurnColumns:
+    """The one conversion: a Turn list as columns; columns as they are."""
+    if isinstance(turns, TurnColumns):
+        return turns
+    rows = [(t.file_id, t.speaker_id, t.onset_s, t.duration_s) for t in turns]
+    return TurnColumns(*map(list, zip(*rows)))
+
+
+def _one_file(ref, hyp) -> tuple[TurnColumns, TurnColumns]:
+    """Both sides as columns; raises MixedFiles when they name different files."""
+    ref, hyp = _columns(ref), _columns(hyp)
+    ids = set(ref.file_id) | set(hyp.file_id)
     if len(ids) > 1:
         raise MixedFiles(f"turns span multiple files: {sorted(ids)}")
+    return ref, hyp
 
 
 class _Intervals(NamedTuple):
@@ -242,13 +256,13 @@ class _Intervals(NamedTuple):
     h_spk: list
 
 
-def _turn_arrays(turns: list[Turn]) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
+def _turn_arrays(turns: TurnColumns) -> tuple[list, np.ndarray, np.ndarray, np.ndarray]:
     """Sorted speaker names, and each turn's onset, offset, and speaker index."""
-    names = sorted({t.speaker_id for t in turns})
+    names = sorted(set(turns.speaker_id))
     col = {s: i for i, s in enumerate(names)}
-    on = np.array([t.onset_s for t in turns], dtype=np.float64)
-    off = on + np.array([t.duration_s for t in turns], dtype=np.float64)
-    who = np.array([col[t.speaker_id] for t in turns], dtype=np.intp)
+    on = np.array(turns.onset_s, dtype=np.float64)
+    off = on + np.array(turns.duration_s, dtype=np.float64)
+    who = np.array([col[s] for s in turns.speaker_id], dtype=np.intp)
     return names, on, off, who
 
 
@@ -267,7 +281,7 @@ def _active(bounds: np.ndarray, on, off, who, n_spk: int) -> np.ndarray:
     return act.T
 
 
-def _intervals(ref: list[Turn], hyp: list[Turn], collar_s: float = 0.0) -> _Intervals:
+def _intervals(ref: TurnColumns, hyp: TurnColumns, collar_s: float = 0.0) -> _Intervals:
     """Elementary intervals with constant speaker sets.
 
     The bounds are every turn's onset and offset, and with a collar each
@@ -304,18 +318,6 @@ def _intervals(ref: list[Turn], hyp: list[Turn], collar_s: float = 0.0) -> _Inte
         list(compress(r_names, r_used)),
         list(compress(h_names, h_used)),
     )
-
-
-def _partition(
-    ref: list[Turn], hyp: list[Turn], collar_s: float = 0.0
-) -> list[tuple[float, frozenset, frozenset]]:
-    """``_intervals`` as (duration, reference speakers, hypothesis
-    speakers) tuples, one per kept interval."""
-    iv = _intervals(ref, hyp, collar_s)
-    return [
-        (d, frozenset(compress(iv.r_spk, r)), frozenset(compress(iv.h_spk, h)))
-        for d, r, h in zip(iv.d.tolist(), iv.ref.tolist(), iv.hyp.tolist())
-    ]
 
 
 def _in_order(terms: np.ndarray) -> float:
@@ -401,7 +403,7 @@ def compute_der(
     0 <= collar_s < inf.
     """
     _check_collar(collar_s)
-    _single_file_id(ref, hyp)
+    ref, hyp = _one_file(ref, hyp)
     return _der(_tally(_intervals(ref, hyp, collar_s)))
 
 
@@ -412,16 +414,18 @@ def compute_jer(ref: list[Turn], hyp: list[Turn]) -> float:
     time(h)| against the mapped hypothesis speaker, 1 when unmapped;
     averaged over reference speakers.
     """
-    _single_file_id(ref, hyp)
+    ref, hyp = _one_file(ref, hyp)
     return _jer(_tally(_intervals(ref, hyp)))
 
 
 def pooled_report(
-    files: dict[str, tuple[list[Turn], list[Turn]]], collar_s: float = 0.0
+    files: dict[str, tuple[TurnColumns | list[Turn], TurnColumns | list[Turn]]],
+    collar_s: float = 0.0,
 ) -> MetricReport:
     """DER, JER, and purity of several files pooled as md-eval pools them.
 
-    ``files`` maps file_id to (ref, hyp). DER's time components and
+    ``files`` maps file_id to (ref, hyp), each side a Turn list or the
+    ``TurnColumns`` that ``rttm_columns`` parses. DER's time components and
     reference speech are summed before dividing; a file with no scored
     reference speech adds its hypothesis speech outside the collars as
     false alarm and nothing else. JER is weighted by scored reference
@@ -436,8 +440,7 @@ def pooled_report(
     missed = fa = confusion = total = credit = hyp_s = 0.0
     jers, mapping = [], {}
     for fid in sorted(files):
-        ref, hyp = files[fid]
-        _single_file_id(ref, hyp)
+        ref, hyp = _one_file(*files[fid])
         plain = _tally(_intervals(ref, hyp))
         scored = _tally(_intervals(ref, hyp, collar_s)) if collar_s > 0.0 else plain
         credit += plain.credit
@@ -505,7 +508,7 @@ def turns_purity(ref: list[Turn], hyp: list[Turn]) -> float:
     reference speaker it overlaps most. 0.0 when there is no
     hypothesis speech.
     """
-    _single_file_id(ref, hyp)
+    ref, hyp = _one_file(ref, hyp)
     t = _tally(_intervals(ref, hyp))
     return t.credit / t.hyp_s if t.hyp_s > 0.0 else 0.0
 

@@ -30,6 +30,7 @@ from diarkit.cli import (
     main,
 )
 from diarkit.corpus import CorpusManifest, generate_mixture
+from diarkit.errors import RttmParseError
 from diarkit.embed import MfccEmbedder, load_external_embeddings, mfcc_features, write_embeddings
 from diarkit.pipeline import training_arrays
 from diarkit.vad import Segment
@@ -258,19 +259,40 @@ def test_evaluate_rejects_a_collar_that_is_not_finite_or_is_negative(tmp_path, c
 
 
 @pytest.mark.parametrize("side", ["ref", "hyp"])
-@pytest.mark.parametrize("field", [3, 4])
-@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize(
+    "value, field",
+    [(v, f) for v in ("nan", "inf") for f in (3, 4)]
+    + [(None, 5), ("LEXEME", 0), ("zero", 3), ("0.000", 4), ("-1.000", 3)],
+)
 def test_evaluate_rejects_a_time_that_is_not_finite(tmp_path, capsys, side, field, value):
+    """A bad second line on either side exits 4 with parse_rttm's message:
+    a time that is not finite, and (value None) a line cut before the
+    field, a first field other than SPEAKER, a non-numeric onset, a zero
+    duration, and a negative onset."""
     good = "SPEAKER rec 1 0.000 10.000 <NA> <NA> A <NA> <NA>"
     fields = "SPEAKER rec 1 12.000 2.000 <NA> <NA> A <NA> <NA>".split()
-    fields[field] = value
+    bad = " ".join(fields[:field] + ([] if value is None else [value, *fields[field + 1 :]]))
+    with pytest.raises(RttmParseError) as parsed:
+        parse_rttm(good + "\n" + bad + "\n")
     paths = {name: tmp_path / f"{name}.rttm" for name in ("ref", "hyp")}
     for name, path in paths.items():
-        path.write_text(good + "\n" + (" ".join(fields) + "\n" if name == side else ""))
+        path.write_text(good + "\n" + (bad + "\n" if name == side else ""))
     argv = ["evaluate", "--ref", str(paths["ref"]), "--hyp", str(paths["hyp"])]
     assert main(argv) == EXIT_VALIDATION
     captured = capsys.readouterr()
-    assert "line 2" in captured.err and value in captured.err
+    assert str(parsed.value).startswith("line 2: ") and str(parsed.value) in captured.err
+    assert "DER" not in captured.out
+
+
+def test_evaluate_a_directory_rttm_naming_two_files_exits_4(tmp_path, capsys):
+    ref_dir, hyp_dir = tmp_path / "ref", tmp_path / "hyp"
+    ref_dir.mkdir()
+    hyp_dir.mkdir()
+    (ref_dir / "a.rttm").write_text(emit_rttm([Turn("a", "s0", 0.0, 1.0), Turn("b", "s0", 2.0, 1.0)]))
+    (hyp_dir / "a.rttm").write_text(emit_rttm([Turn("a", "s0", 0.0, 1.0)]))
+    assert main(["evaluate", "--ref", str(ref_dir), "--hyp", str(hyp_dir)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "error: turns span multiple files: ['a', 'b']" in captured.err
     assert "DER" not in captured.out
 
 
@@ -304,6 +326,21 @@ def test_evaluate_on_the_default_layout_skips_the_hypothesis_tree(tmp_path, caps
     assert inside == moved
     assert inside["der"]["der"] > 0.0
     assert inside["der"]["false_alarm_s"] > 0.0
+
+
+def test_evaluate_beside_a_manifest_skips_a_stale_default_hyp_tree(tmp_path, capsys, monkeypatch):
+    """diarize's default hyp/ beside the manifest is no reference, even when
+    --hyp names another directory."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["corpus", "c5", "--layout", "0:1,2:2,3:1", "--seed", "5"]) == EXIT_OK
+    assert main(["diarize", "c5/manifest.json"]) == EXIT_OK
+    assert main(["diarize", "c5/manifest.json", "--out-dir", "hypx"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["evaluate", "--ref", "c5", "--hyp", "hypx"]) == EXIT_OK
+    stale = _report(capsys.readouterr().out)
+    assert main(["evaluate", "--ref", "c5", "--hyp", "c5/hyp"]) == EXIT_OK
+    assert stale == _report(capsys.readouterr().out)
+    assert stale["der"]["der"] > 0.0
 
 
 def test_evaluate_walk_with_a_duplicate_stem_exits_3(tmp_path, capsys):

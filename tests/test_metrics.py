@@ -4,11 +4,12 @@ import math
 import time
 import tracemalloc
 from dataclasses import replace
+from itertools import compress
 
 import numpy as np
 import pytest
 
-from diarkit.audio_io import Turn
+from diarkit.audio_io import Turn, TurnColumns, emit_rttm, rttm_columns
 from diarkit.errors import (
     EmptyInput,
     EmptyMatrix,
@@ -20,7 +21,8 @@ from diarkit.errors import (
 )
 from diarkit.metrics import (
     DerReport,
-    _partition,
+    _columns,
+    _intervals,
     MetricReport,
     cluster_purity,
     compute_der,
@@ -354,6 +356,16 @@ def test_pooled_report_without_scored_speech_raises():
 # --- _partition ---
 
 
+def _partition(ref, hyp, collar_s=0.0):
+    """``_intervals`` as (duration, reference speakers, hypothesis
+    speakers) tuples, one per kept interval."""
+    iv = _intervals(_columns(ref), _columns(hyp), collar_s)
+    return [
+        (d, frozenset(compress(iv.r_spk, r)), frozenset(compress(iv.h_spk, h)))
+        for d, r, h in zip(iv.d.tolist(), iv.ref.tolist(), iv.hyp.tolist())
+    ]
+
+
 def _crowded_case(rng):
     """A random case plus same-speaker turns that overlap, touch, or last
     only a millisecond, on the 1 ms grid RTTM files use."""
@@ -446,14 +458,34 @@ def test_scoring_an_hour_of_turns_within_two_megabytes():
 # --- pooled_report against the loop scorer ---
 
 
-def _assert_scores_as_the_loop_scorer(files, collar, case):
+def _columns_of(turns):
+    """Turns as columns, built field by field."""
+    return TurnColumns([t.file_id for t in turns], [t.speaker_id for t in turns],
+                       [t.onset_s for t in turns], [t.duration_s for t in turns])
+
+
+def _read_back(files):
+    """Each side of ``files`` written as one RTTM document and parsed back
+    into per-file columns, as ``evaluate`` reads a single-file input."""
+    sides = [rttm_columns("".join(emit_rttm(pair[i]) for pair in files.values())).by_file()
+             for i in (0, 1)]
+    return {f: tuple(side.get(f, TurnColumns()) for side in sides) for f in files}
+
+
+def _assert_scores_as_the_loop_scorer(files, collar, case, columns=None):
+    """pooled_report fed Turn lists and fed per-file columns (``columns``,
+    else ``files`` as columns) gives the loop scorer's report, bit for bit."""
+    if columns is None:
+        columns = {f: (_columns_of(ref), _columns_of(hyp)) for f, (ref, hyp) in files.items()}
     try:
         want = pooled_report_oracle(files, collar)
     except EmptyReference:
-        with pytest.raises(EmptyReference):
-            pooled_report(files, collar_s=collar)
+        for given in (files, columns):
+            with pytest.raises(EmptyReference):
+                pooled_report(given, collar_s=collar)
         return
     assert pooled_report(files, collar_s=collar).to_dict() == want, case
+    assert pooled_report(columns, collar_s=collar).to_dict() == want, case
 
 
 def test_pooled_report_equals_the_loop_scorer_on_random_files():
@@ -466,8 +498,10 @@ def test_pooled_report_equals_the_loop_scorer_on_random_files():
             ref, hyp = random_der_case(rng)
             files[f"f{k}"] = ([replace(t, file_id=f"f{k}") for t in ref],
                               [replace(t, file_id=f"f{k}") for t in hyp])
+        # Every time has 3 decimals, so the RTTM text holds it exactly.
+        read_back = _read_back(files)
         for collar in (0.0, 0.25):
-            _assert_scores_as_the_loop_scorer(files, collar, (case, collar))
+            _assert_scores_as_the_loop_scorer(files, collar, (case, collar), read_back)
 
 
 def test_pooled_report_equals_the_loop_scorer_on_crowded_cases():
