@@ -24,32 +24,24 @@ _WSOLA_TOLERANCE = 120
 
 @dataclass(frozen=True)
 class AugmentSpec:
-    """One augmentation recipe.
-
-    The default range limits (intensity fractions, +-5 semitones, 0.9x
-    to 1.1x speed) are enforced unless ``allow_out_of_range`` opts out;
-    hard physical limits still apply.
-    """
+    """One augmentation recipe: a non-negative noise intensity, white or
+    babble noise, pitch within +-5 semitones and speed within 0.9x to 1.1x."""
 
     noise_intensity: float = 0.05
     noise_kind: str = "white"
     pitch_semitones: float = 0.0
     speed_factor: float = 1.0
     rng_seed: int = 0
-    allow_out_of_range: bool = False
 
     def __post_init__(self) -> None:
         if self.noise_intensity < 0:
             raise ValueError("noise_intensity must be >= 0")
         if self.noise_kind not in ("white", "babble"):
             raise ValueError("noise_kind must be 'white' or 'babble'")
-        if abs(self.pitch_semitones) > 12 or self.speed_factor <= 0:
-            raise ValueError("pitch or speed outside physical limits")
-        if not self.allow_out_of_range:
-            if abs(self.pitch_semitones) > 5:
-                raise ValueError("pitch_semitones outside [-5, 5]")
-            if not 0.9 <= self.speed_factor <= 1.1:
-                raise ValueError("speed_factor outside [0.9, 1.1]")
+        if abs(self.pitch_semitones) > 5:
+            raise ValueError("pitch_semitones outside [-5, 5]")
+        if not 0.9 <= self.speed_factor <= 1.1:
+            raise ValueError("speed_factor outside [0.9, 1.1]")
 
 
 def _babble(n: int, rate: int, rng) -> np.ndarray:

@@ -190,6 +190,11 @@ def cmd_evaluate(args) -> int:
         skip.add((ref_path / "hyp").resolve())
     ref_table = _collect_rttms(ref_path, tuple(skip - {ref_path.resolve()}))
     hyp_table = _collect_rttms(hyp_path)
+    if not (ref_path.is_dir() or hyp_path.is_dir()):
+        # An RTTM with no turns names no file: it takes the other side's only one.
+        for table, other in ((ref_table, hyp_table), (hyp_table, ref_table)):
+            if len(other) == 1 and not any(c.file_id for c in table.values()):
+                table[next(iter(other))] = table.popitem()[1]
     unmatched = sorted(set(ref_table) - set(hyp_table))
     if unmatched:
         raise PairingError(f"no hypothesis for file_id(s): {', '.join(unmatched)}")

@@ -446,11 +446,13 @@ def generate_dataset(
     every usable core; the tree does not depend on how many there are.
 
     Raises BadSplit on malformed fractions, BadSpeakerCount on folder
-    indices above 4, ValueError on an overlap fraction outside
-    [0, 0.3], and IoError on filesystem failures; nothing is written
-    before the arguments are checked.
+    indices above 4, ValueError on a negative seed or an overlap fraction
+    outside [0, 0.3], and IoError on filesystem failures; nothing is
+    written before the arguments are checked.
     """
     layout = dict(DEFAULT_LAYOUT) if layout is None else dict(layout)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if len(split) != 3 or any(f < 0 for f in split) or abs(sum(split) - 1.0) > 1e-9:
         raise BadSplit(f"split must be three fractions summing to 1, got {split}")
     for folder, count in layout.items():

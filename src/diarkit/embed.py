@@ -367,27 +367,13 @@ def _segment_rows(
     return lo, hi
 
 
-def _pooled_vector(features: np.ndarray, base_dims: int) -> np.ndarray:
-    f = np.asarray(features, dtype=np.float64)
+def _pooled_vector(rows: np.ndarray) -> np.ndarray:
+    """Mean and standard deviation over frames of every column of ``rows``:
+    the fixed 2 * width vector. Raises TooFewFrames on fewer than 2 frames."""
+    f = np.asarray(rows, dtype=np.float64)
     if f.ndim != 2 or f.shape[0] < 2:
         raise TooFewFrames("pooling needs a matrix of at least 2 frames")
-    if f.shape[1] < base_dims:
-        raise DimMismatch(
-            f"features have {f.shape[1]} dims, pooling needs {base_dims}"
-        )
-    kept = f[:, :base_dims]
-    return np.concatenate([np.mean(kept, axis=0), np.std(kept, axis=0)])
-
-
-def pool_embedding(features: np.ndarray, base_dims: int = 26) -> Embedding:
-    """Mean and standard deviation over frames of the leading dims.
-
-    Keeping ``base_dims`` of the per-frame features and stacking mean
-    with std gives the fixed 2 * base_dims vector (52 by default).
-
-    Raises TooFewFrames on fewer than 2 frames.
-    """
-    return Embedding(vector=_pooled_vector(features, base_dims))
+    return np.concatenate([np.mean(f, axis=0), np.std(f, axis=0)])
 
 
 class MfccEmbedder:
@@ -445,20 +431,7 @@ class MfccEmbedder:
 
     def embed(self, buf: AudioBuffer | WavSource, segment: Segment) -> Embedding:
         rows = self.features(buf, segment, self.base_dims)
-        return Embedding(_pooled_vector(rows, self.base_dims), segment_ref=segment)
-
-
-def mfcc_features(
-    buf: AudioBuffer,
-    segment: Segment,
-    n_mels: int = 40,
-    n_coeffs: int = 13,
-    frame_ms: float = 25.0,
-    hop_ms: float = 10.0,
-) -> np.ndarray:
-    """Cepstral features for one segment, frames x (3 * n_coeffs): the
-    rows ``MfccEmbedder.features`` gives, from a fresh embedder."""
-    return MfccEmbedder(n_mels, n_coeffs, frame_ms, hop_ms, 3 * n_coeffs).features(buf, segment)
+        return Embedding(_pooled_vector(rows), segment_ref=segment)
 
 
 _HEADER = struct.Struct("<II")

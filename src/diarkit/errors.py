@@ -65,7 +65,7 @@ class NonPositiveDuration(RttmParseError):
     pass
 
 
-# ---- dsp_preprocess ----
+# ---- preprocess ----
 
 class SilentInput(DiarkitError, ValueError):
     pass

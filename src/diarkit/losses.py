@@ -196,6 +196,8 @@ class TrainConfig:
             raise ValueError("weight_decay must be >= 0")
         if not 0.0 <= self.dual_loss_lambda <= 1.0:
             raise ValueError("dual_loss_lambda must be in [0, 1]")
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
 
 
 @dataclass

@@ -21,57 +21,40 @@ from .losses import TrainConfig
 from .preprocess import DenoiseParams, spectral_gate_denoise
 from .vad import Segment, energy_vad, uniform_segment
 
-# Average-linkage cosine distance at which two segment groups are
-# considered the same voice (calibrated on the synthetic corpus).
-CLUSTER_THRESHOLD_DEFAULT = 0.4
+
+def _key(section: str, key: str, default):
+    """A field that the config document sets as ``section.key``."""
+    return field(default=default, metadata={"section": section, "key": key})
 
 
 @dataclass
 class PipelineConfig:
-    """Every stage's knobs in one JSON-serializable document."""
+    """Every stage's knobs in one JSON-serializable document.
 
-    vad_frame_ms: float = 30.0
-    vad_hop_ms: float = 10.0
-    vad_threshold_db: float = 6.0
-    vad_hangover_ms: float = 200.0
-    window_s: float = 1.5
-    segment_hop_s: float = 0.75
-    n_mels: int = 40
-    n_coeffs: int = 13
-    mfcc_frame_ms: float = 25.0
-    mfcc_hop_ms: float = 10.0
-    base_dims: int = 26
-    cluster_threshold: float = CLUSTER_THRESHOLD_DEFAULT
-    num_speakers: int | None = None
-    denoise: bool = False
-    noise_percentile: float = 0.2
-    gate_threshold_db: float = 6.0
-    attenuation_db: float = 20.0
+    Each field but ``train`` names its section and key in the document;
+    a section's keys are the keyword arguments of the stage that reads it.
+    """
+
+    vad_frame_ms: float = _key("vad", "frame_ms", 30.0)
+    vad_hop_ms: float = _key("vad", "hop_ms", 10.0)
+    vad_threshold_db: float = _key("vad", "threshold_db", 6.0)
+    vad_hangover_ms: float = _key("vad", "hangover_ms", 200.0)
+    window_s: float = _key("segment", "window_s", 1.5)
+    segment_hop_s: float = _key("segment", "hop_s", 0.75)
+    n_mels: int = _key("embed", "n_mels", 40)
+    n_coeffs: int = _key("embed", "n_coeffs", 13)
+    mfcc_frame_ms: float = _key("embed", "frame_ms", 25.0)
+    mfcc_hop_ms: float = _key("embed", "hop_ms", 10.0)
+    base_dims: int = _key("embed", "base_dims", 26)
+    # Average-linkage cosine distance at which two segment groups are
+    # considered the same voice (calibrated on the synthetic corpus).
+    cluster_threshold: float = _key("cluster", "threshold", 0.4)
+    num_speakers: int | None = _key("cluster", "k", None)
+    denoise: bool = _key("denoise", "enabled", False)
+    noise_percentile: float = _key("denoise", "noise_percentile", 0.2)
+    gate_threshold_db: float = _key("denoise", "gate_threshold_db", 6.0)
+    attenuation_db: float = _key("denoise", "attenuation_db", 20.0)
     train: dict = field(default_factory=dict)
-
-    _SECTIONS = {
-        "vad": {
-            "frame_ms": "vad_frame_ms",
-            "hop_ms": "vad_hop_ms",
-            "threshold_db": "vad_threshold_db",
-            "hangover_ms": "vad_hangover_ms",
-        },
-        "segment": {"window_s": "window_s", "hop_s": "segment_hop_s"},
-        "embed": {
-            "n_mels": "n_mels",
-            "n_coeffs": "n_coeffs",
-            "frame_ms": "mfcc_frame_ms",
-            "hop_ms": "mfcc_hop_ms",
-            "base_dims": "base_dims",
-        },
-        "cluster": {"threshold": "cluster_threshold", "k": "num_speakers"},
-        "denoise": {
-            "enabled": "denoise",
-            "noise_percentile": "noise_percentile",
-            "gate_threshold_db": "gate_threshold_db",
-            "attenuation_db": "attenuation_db",
-        },
-    }
 
     def __post_init__(self) -> None:
         self.validate()
@@ -97,18 +80,28 @@ class PipelineConfig:
         self.embedder()  # constructor performs the embed-stage checks
 
     @classmethod
+    def _sections(cls) -> dict[str, dict[str, str]]:
+        """{section: {key: field name}}, read off the fields' metadata."""
+        sections: dict[str, dict[str, str]] = {}
+        for f in fields(cls):
+            if f.metadata:
+                sections.setdefault(f.metadata["section"], {})[f.metadata["key"]] = f.name
+        return sections
+
+    @classmethod
     def from_dict(cls, raw: dict) -> "PipelineConfig":
         if not isinstance(raw, dict):
             raise ValueError("config must be a JSON object")
+        sections = cls._sections()
         kwargs = {}
         for key, value in raw.items():
-            if key in cls._SECTIONS:
+            if key in sections:
                 if not isinstance(value, dict):
                     raise ValueError(f"config section {key!r} must be an object")
                 for sub, subval in value.items():
-                    if sub not in cls._SECTIONS[key]:
+                    if sub not in sections[key]:
                         raise ValueError(f"unknown config key {key}.{sub}")
-                    kwargs[cls._SECTIONS[key][sub]] = subval
+                    kwargs[sections[key][sub]] = subval
             elif key == "train":
                 kwargs[key] = value
             else:
@@ -120,17 +113,15 @@ class PipelineConfig:
         with open(path, encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
 
+    def section(self, name: str) -> dict:
+        """Section ``name``'s values, keyed as in the config document."""
+        return {key: getattr(self, f) for key, f in self._sections()[name].items()}
+
     def embedder(self) -> MfccEmbedder:
-        return MfccEmbedder(
-            self.n_mels, self.n_coeffs, self.mfcc_frame_ms, self.mfcc_hop_ms, self.base_dims
-        )
+        return MfccEmbedder(**self.section("embed"))
 
     def denoise_params(self) -> DenoiseParams:
-        return DenoiseParams(
-            noise_percentile=self.noise_percentile,
-            gate_threshold_db=self.gate_threshold_db,
-            attenuation_db=self.attenuation_db,
-        )
+        return DenoiseParams(**{k: v for k, v in self.section("denoise").items() if k != "enabled"})
 
 
 def embed_segments(
@@ -151,16 +142,8 @@ def embed_segments(
     """
     if cfg.denoise:
         buf = spectral_gate_denoise(buf, cfg.denoise_params())
-    regions = energy_vad(
-        buf,
-        frame_ms=cfg.vad_frame_ms,
-        hop_ms=cfg.vad_hop_ms,
-        threshold_db=cfg.vad_threshold_db,
-        hangover_ms=cfg.vad_hangover_ms,
-    )
-    segments = uniform_segment(
-        regions, window_s=cfg.window_s, hop_s=cfg.segment_hop_s, file_id=file_id
-    )
+    regions = energy_vad(buf, **cfg.section("vad"))
+    segments = uniform_segment(regions, **cfg.section("segment"), file_id=file_id)
     if external_embeddings is None:
         embedder = cfg.embedder()  # its cache frames the buffer once
         return segments, [embedder.embed(buf, s) for s in segments]

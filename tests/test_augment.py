@@ -33,9 +33,8 @@ class TestAugmentSpec:
             AugmentSpec(pitch_semitones=6.0)
         with pytest.raises(ValueError):
             AugmentSpec(speed_factor=1.2)
-        AugmentSpec(pitch_semitones=6.0, speed_factor=1.2, allow_out_of_range=True)
         with pytest.raises(ValueError):
-            AugmentSpec(pitch_semitones=13.0, allow_out_of_range=True)
+            AugmentSpec(pitch_semitones=13.0)
         with pytest.raises(ValueError):
             AugmentSpec(noise_intensity=-0.1)
         with pytest.raises(ValueError):

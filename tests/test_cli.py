@@ -1,12 +1,14 @@
 """Command-line surface: exit codes, file outputs, and printed reports."""
 
 import importlib.util
+import inspect
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -31,9 +33,10 @@ from diarkit.cli import (
 )
 from diarkit.corpus import CorpusManifest, generate_mixture
 from diarkit.errors import RttmParseError
-from diarkit.embed import MfccEmbedder, load_external_embeddings, mfcc_features, write_embeddings
+from diarkit.embed import MfccEmbedder, load_external_embeddings, write_embeddings
 from diarkit.pipeline import training_arrays
-from diarkit.vad import Segment
+from diarkit.preprocess import DenoiseParams
+from diarkit.vad import Segment, energy_vad, uniform_segment
 
 from oracles import spectral_gate_denoise_oracle
 
@@ -296,6 +299,28 @@ def test_evaluate_a_directory_rttm_naming_two_files_exits_4(tmp_path, capsys):
     assert "DER" not in captured.out
 
 
+def test_evaluate_an_empty_single_file_takes_the_other_sides_file_id(corpus_dir, tmp_path, capsys):
+    # An RTTM with no turns names no file, so it pairs with the one file
+    # the other side names, as an empty file named after it does.
+    ref = corpus_dir / "2" / "2_000.rttm"
+    empty = tmp_path / "empty.rttm"
+    empty.write_text("")
+    assert main(["evaluate", "--ref", str(ref), "--hyp", str(empty)]) == EXIT_OK
+    report = _report(capsys.readouterr().out)
+    assert report["der"]["der"] == 1.0
+    assert report["der"]["missed_s"] == pytest.approx(report["der"]["total_ref_speech_s"], abs=1e-9)
+    assert report["der"]["total_ref_speech_s"] > 0
+    assert report["jer"] == 1.0
+    stem = tmp_path / "2_000.rttm"
+    stem.write_text("")
+    assert main(["evaluate", "--ref", str(ref), "--hyp", str(stem)]) == EXIT_OK
+    assert _report(capsys.readouterr().out) == report
+
+    # Two empty files pair, and have no reference speech to score.
+    assert main(["evaluate", "--ref", str(empty), "--hyp", str(stem)]) == EXIT_VALIDATION
+    assert "no scored speech" in capsys.readouterr().err
+
+
 def test_evaluate_names_hypotheses_without_a_reference(tmp_path, capsys):
     ref_dir, hyp_dir = tmp_path / "ref", tmp_path / "hyp"
     ref_dir.mkdir()
@@ -385,6 +410,13 @@ def test_corpus_bad_overlap_exits_4_and_writes_nothing(tmp_path, capsys, overlap
     argv = ["corpus", str(out), "--layout", "0:1,2:1", "--overlap", overlap]
     assert main(argv) == EXIT_VALIDATION
     assert "overlap_fraction" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_corpus_negative_seed_exits_4_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["corpus", str(out), "--layout", "2:1", "--seed", "-1"]) == EXIT_VALIDATION
+    assert "seed" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -598,6 +630,52 @@ def test_config_sections_map_onto_pipeline_fields():
         PipelineConfig.from_dict({"vad": {"bogus": 1}})
     with pytest.raises(ValueError):
         PipelineConfig.from_dict({"vad": 3})
+
+
+def test_config_defaults_equal_the_defaults_of_the_stages_they_feed():
+    cfg = PipelineConfig()
+    stages = {
+        "vad": energy_vad,
+        "segment": uniform_segment,
+        "embed": MfccEmbedder,
+        "denoise": DenoiseParams,
+    }
+    for name, stage in stages.items():
+        params = inspect.signature(stage).parameters
+        for key, value in cfg.section(name).items():
+            if (name, key) == ("denoise", "enabled"):
+                continue
+            default = params[key].default
+            assert (value, type(value)) == (default, type(default)), (name, key)
+
+
+def test_config_sections_rebuild_a_non_default_config():
+    cfg = PipelineConfig(
+        vad_frame_ms=25.0,
+        vad_hop_ms=5.0,
+        vad_threshold_db=9.0,
+        vad_hangover_ms=150.0,
+        window_s=2.0,
+        segment_hop_s=1.0,
+        n_mels=32,
+        n_coeffs=12,
+        mfcc_frame_ms=20.0,
+        mfcc_hop_ms=8.0,
+        base_dims=24,
+        cluster_threshold=0.3,
+        num_speakers=3,
+        denoise=True,
+        noise_percentile=0.3,
+        gate_threshold_db=4.0,
+        attenuation_db=12.0,
+    )
+    defaults = PipelineConfig()
+    for f in fields(cfg):
+        if f.name != "train":
+            assert getattr(cfg, f.name) != getattr(defaults, f.name), f.name
+    sections = ("vad", "segment", "embed", "cluster", "denoise")
+    assert PipelineConfig.from_dict({s: cfg.section(s) for s in sections}) == cfg
+    assert cfg.section("cluster") == {"threshold": 0.3, "k": 3}
 
 
 # --- augment ---
@@ -836,7 +914,7 @@ def test_python_m_diarkit_runs_without_a_warning():
 
 def test_training_arrays_frame_each_file_once(corpus_dir, monkeypatch):
     # The per-file feature table, sliced per turn, equals per-turn
-    # mfcc_features exactly.
+    # features from a fresh MfccEmbedder exactly.
     cfg = PipelineConfig()
     manifest = CorpusManifest.load(corpus_dir / "manifest.json")
     files = [e for e in manifest.entries if e.split == "train" and e.folder != 0]
@@ -848,7 +926,7 @@ def test_training_arrays_frame_each_file_once(corpus_dir, monkeypatch):
         buf = read_wav(corpus_dir / entry.path)
         for turn in parse_rttm((corpus_dir / entry.rttm_path).read_text()):
             seg = Segment(entry.path, turn.onset_s, min(turn.offset_s, buf.duration_s), len(want_seqs))
-            rows = mfcc_features(buf, seg)
+            rows = MfccEmbedder().features(buf, seg)
             label = speakers.index(turn.speaker_id) + 1
             want_feats.append(rows)
             want_labels += [label] * len(rows)
@@ -871,6 +949,24 @@ def test_training_arrays_frame_each_file_once(corpus_dir, monkeypatch):
     assert len(calls) == len(files)
 
 
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_train_toy_negative_seed_exits_4_before_any_audio_is_read(
+    corpus_dir, tmp_path, monkeypatch, capsys, source
+):
+    calls = []
+    monkeypatch.setattr(diarkit.cli, "training_arrays", lambda *a: calls.append(a))
+    argv = ["train-toy", "--manifest", str(corpus_dir / "manifest.json")]
+    if source == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        cfg = tmp_path / "train.json"
+        cfg.write_text(json.dumps({"train": {"rng_seed": -1}}))
+        argv += ["--config", str(cfg)]
+    assert main(argv) == EXIT_VALIDATION
+    assert "rng_seed must be >= 0" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_train_toy_loss_decreases_and_writes_history(corpus_dir, tmp_path, capsys):

@@ -8,9 +8,8 @@ from diarkit.embed import (
     Embedding,
     MfccEmbedder,
     _OrthoDct2,
+    _pooled_vector,
     load_external_embeddings,
-    mfcc_features,
-    pool_embedding,
     write_embeddings,
 )
 from diarkit.errors import (
@@ -52,8 +51,8 @@ def _voice(f0, formants, duration_s, seed):
 def test_noise_and_tone_cepstra_differ():
     x = np.concatenate([white(1.0, seed=3).samples, tone(300.0, 1.0).samples])
     buf = AudioBuffer(x, RATE)
-    f_noise = mfcc_features(buf, _seg(0.0, 1.0))
-    f_tone = mfcc_features(buf, _seg(1.0, 2.0, idx=1))
+    f_noise = MfccEmbedder().features(buf, _seg(0.0, 1.0))
+    f_tone = MfccEmbedder().features(buf, _seg(1.0, 2.0, idx=1))
     d = _cosine(np.mean(f_noise[:, :13], axis=0), np.mean(f_tone[:, :13], axis=0))
     assert d > 0.2
 
@@ -61,25 +60,25 @@ def test_noise_and_tone_cepstra_differ():
 def test_gain_invariance_of_features():
     buf = _voice(140.0, [(700.0, 120.0), (1500.0, 200.0)], 2.0, seed=1)
     half = AudioBuffer(0.5 * buf.samples, RATE)
-    f1 = mfcc_features(buf, _seg(0.25, 1.75))
-    f2 = mfcc_features(half, _seg(0.25, 1.75))
+    f1 = MfccEmbedder().features(buf, _seg(0.25, 1.75))
+    f2 = MfccEmbedder().features(half, _seg(0.25, 1.75))
     assert np.max(np.abs(f1 - f2)) < 1e-6
 
 
 def test_segment_shorter_than_frame_raises():
     buf = tone(440.0, 1.0)
     with pytest.raises(TooShort):
-        mfcc_features(buf, _seg(0.5, 0.51))
+        MfccEmbedder().features(buf, _seg(0.5, 0.51))
 
 
 def test_segment_past_buffer_raises():
     buf = tone(440.0, 1.0)
     with pytest.raises(SegmentOutOfRange):
-        mfcc_features(buf, _seg(0.5, 1.5))
+        MfccEmbedder().features(buf, _seg(0.5, 1.5))
 
 
 def test_feature_shape():
-    f = mfcc_features(tone(200.0, 1.5), _seg(0.0, 1.5))
+    f = MfccEmbedder().features(tone(200.0, 1.5), _seg(0.0, 1.5))
     # 1.5 s at 25 ms frames / 10 ms hop: frames fully inside the span
     assert f.shape == (148, 39)
 
@@ -91,7 +90,7 @@ def test_frames_longer_than_512_samples_reach_the_spectrum():
     rate = 48000
     x = np.zeros(1680)
     x[1200:] = 0.5 * np.sin(2 * np.pi * 1000.0 * np.arange(480) / rate)
-    f = mfcc_features(AudioBuffer(x, rate), _seg(0.0, 0.035))
+    f = MfccEmbedder().features(AudioBuffer(x, rate), _seg(0.0, 0.035))
     assert f.shape[0] == 2
     assert np.max(np.abs(f[1] - f[0])) > 1.0
 
@@ -100,7 +99,7 @@ def test_segment_rows_are_the_frames_inside_the_segment():
     # Every 25 ms frame (10 ms hop) lying wholly inside the segment, and no
     # other, including segments whose edges fall exactly on frame edges.
     buf = white(1.0, seed=3)
-    full = mfcc_features(buf, _seg(0.0, 1.0))
+    full = MfccEmbedder().features(buf, _seg(0.0, 1.0))
     starts = np.arange(0, RATE - 400 + 1, 160)
     rng = np.random.default_rng(11)
     edges = [(0.0, 0.025), (0.01, 0.045), (0.3, 0.3 + 0.025 + 0.16), (0.975, 1.0)]
@@ -110,14 +109,14 @@ def test_segment_rows_are_the_frames_inside_the_segment():
         want = (starts >= lo) & (starts + 400 <= hi)
         if not want.any():
             with pytest.raises(TooShort):
-                mfcc_features(buf, _seg(on, off))
+                MfccEmbedder().features(buf, _seg(on, off))
             continue
-        np.testing.assert_array_equal(mfcc_features(buf, _seg(on, off)), full[want])
+        np.testing.assert_array_equal(MfccEmbedder().features(buf, _seg(on, off)), full[want])
 
 
 def test_pool_constant_features_have_zero_std():
     f = np.tile(np.arange(39.0), (10, 1))
-    emb = pool_embedding(f)
+    emb = Embedding(_pooled_vector(f[:, :26]))
     assert emb.dim == 52
     assert np.allclose(emb.vector[26:], 0.0)
     assert np.allclose(emb.vector[:26], np.arange(26.0))
@@ -126,14 +125,14 @@ def test_pool_constant_features_have_zero_std():
 def test_pool_is_frame_order_invariant():
     rng = np.random.default_rng(7)
     f = rng.normal(size=(40, 39))
-    emb1 = pool_embedding(f)
-    emb2 = pool_embedding(f[rng.permutation(40)])
+    emb1 = Embedding(_pooled_vector(f[:, :26]))
+    emb2 = Embedding(_pooled_vector(f[rng.permutation(40)][:, :26]))
     assert np.allclose(emb1.vector, emb2.vector)
 
 
 def test_pool_too_few_frames():
     with pytest.raises(TooFewFrames):
-        pool_embedding(np.ones((1, 39)))
+        _pooled_vector(np.ones((1, 39))[:, :26])
 
 
 def test_stationary_halves_are_close():
@@ -180,7 +179,7 @@ def test_embedder_returns_the_pooled_vector_with_its_segment():
     buf = tone(300.0, 3.0)
     seg = _seg(0.5, 2.0, idx=4)
     got = MfccEmbedder().embed(buf, seg)
-    want = Embedding(vector=pool_embedding(mfcc_features(buf, seg)).vector, segment_ref=seg)
+    want = Embedding(vector=_pooled_vector(MfccEmbedder().features(buf, seg)[:, :26]), segment_ref=seg)
     assert np.array_equal(got.vector, want.vector)
     assert got.vector.dtype == np.float64
     assert got.segment_ref is seg
@@ -202,8 +201,8 @@ def test_embeddings_pool_the_whole_table_rows(base_dims):
     for on, off in edges:
         seg = _seg(on, off)
         got = embedder.embed(buf, seg).vector
-        rows = mfcc_features(buf, seg)
-        assert np.array_equal(got, pool_embedding(rows, base_dims).vector), (on, off)
+        rows = MfccEmbedder().features(buf, seg)
+        assert np.array_equal(got, _pooled_vector(rows[:, :base_dims])), (on, off)
         starts = np.arange(0, len(buf) - 400 + 1, 160)
         inside = (starts >= round(on * RATE)) & (starts + 400 <= round(off * RATE))
         assert np.array_equal(rows, table[inside]), (on, off)
