@@ -23,7 +23,7 @@ from .corpus import (
     generate_mixture,
     synth_utterance,
 )
-from .embed import Embedding, MfccEmbedder, load_external_embeddings, write_embeddings
+from .embed import MfccEmbedder, load_external_embeddings, write_embeddings
 from .losses import CtcResult, ToyModel, TrainConfig, cross_entropy, ctc_loss, dual_loss, train_toy
 from .metrics import (
     DerReport,
@@ -56,7 +56,6 @@ __all__ = [
     "CtcResult",
     "DenoiseParams",
     "DerReport",
-    "Embedding",
     "MetricReport",
     "MfccEmbedder",
     "PipelineConfig",

@@ -15,7 +15,7 @@ import numpy as np
 
 from .audio_io import AudioBuffer, Turn, sinc_interp
 from .corpus import default_profile_pool, synth_utterance
-from .errors import SilentInput
+from .errors import SilentInput, check_numbers
 
 _WSOLA_WINDOW = 480  # 30 ms at 16 kHz
 _WSOLA_HOP = 240
@@ -24,8 +24,8 @@ _WSOLA_TOLERANCE = 120
 
 @dataclass(frozen=True)
 class AugmentSpec:
-    """One augmentation recipe: a non-negative noise intensity, white or
-    babble noise, pitch within +-5 semitones and speed within 0.9x to 1.1x."""
+    """One recipe of finite numbers: noise intensity and seed >= 0, white or
+    babble noise, pitch within +-5 semitones, speed within 0.9x to 1.1x."""
 
     noise_intensity: float = 0.05
     noise_kind: str = "white"
@@ -34,6 +34,9 @@ class AugmentSpec:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
+        check_numbers(self)
+        if self.rng_seed < 0:
+            raise ValueError("rng_seed must be >= 0")
         if self.noise_intensity < 0:
             raise ValueError("noise_intensity must be >= 0")
         if self.noise_kind not in ("white", "babble"):

@@ -40,11 +40,6 @@ class ClusterResult:
         return len(set(self.labels))
 
 
-def _vec(x) -> np.ndarray:
-    v = getattr(x, "vector", x)
-    return np.asarray(v, dtype=np.float64)
-
-
 def cosine_distance(a, b) -> float:
     """1 minus the cosine of the angle between two vectors, in [0, 2].
 
@@ -60,16 +55,16 @@ def cosine_distance(a, b) -> float:
 
 
 def _unit_rows(embs) -> np.ndarray:
-    """The embeddings as an (n, dim) matrix of unit rows.
+    """The embeddings, a matrix or n vectors, as a new (n, dim) matrix of unit rows.
 
     Raises DimMismatch on unequal dims, ZeroVector on a zero vector and
     ValueError on a NaN or infinite component.
     """
-    vectors = [_vec(e) for e in embs]
-    dims = {v.shape for v in vectors}
-    if len(dims) > 1 or any(v.ndim != 1 for v in vectors):
+    if len({np.shape(e) for e in embs}) > 1:
         raise DimMismatch("all embeddings must share one dimension")
-    matrix = np.stack(vectors)
+    matrix = np.array(embs, dtype=np.float64)  # a copy: its rows are scaled in place
+    if matrix.ndim != 2:
+        raise DimMismatch("each embedding must be a vector")
     norms = np.linalg.norm(matrix, axis=1)
     if np.any(norms == 0.0):
         raise ZeroVector("embeddings must be nonzero for cosine distances")
@@ -80,7 +75,7 @@ def _unit_rows(embs) -> np.ndarray:
 
 
 def agglomerative_cluster(embs, stop) -> ClusterResult:
-    """Cluster embeddings bottom-up by average cosine distance.
+    """Cluster the rows of ``embs`` bottom-up by average cosine distance.
 
     ``stop`` is ``{"threshold": t}`` (merge while the best distance is
     at most t) or ``{"k": k}`` (merge down to k clusters). Labels are

@@ -16,8 +16,9 @@ the orthonormal DCT-II of the log-mel energies, computed by a numpy port
 of pocketfft's (``_OrthoDct2``), bit for bit with ``scipy.fft.dct``, so
 the front end, like every command, runs without scipy.
 
-Externally computed vectors (any dimension) enter through a small binary
-matrix format documented at ``write_embeddings``.
+A recording's vectors are one float64 (segments, dim) matrix, rows in
+segment order; external vectors (any dimension) enter as the small
+binary form of that matrix documented at ``write_embeddings``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import math
 import struct
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -52,26 +52,6 @@ _LOG_FLOOR = 1e-30
 # rows at which BLAS changes path.
 _MFCC_BLOCK = 256
 _DELTA_SPAN = 2  # a delta regresses over this many frames either side
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """Fixed-length feature vector for one segment."""
-
-    vector: np.ndarray
-    segment_ref: Segment | None = None
-
-    def __post_init__(self) -> None:
-        v = np.asarray(self.vector, dtype=np.float64)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("vector must be a non-empty 1-D array")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("vector components must be finite")
-        object.__setattr__(self, "vector", v)
-
-    @property
-    def dim(self) -> int:
-        return int(self.vector.shape[0])
 
 
 def _hz_to_mel(f):
@@ -429,25 +409,21 @@ class MfccEmbedder:
         starts, cepstra = cached
         return _feature_rows(cepstra, *_segment_rows(buf, segment, starts, self.frame_ms), width)
 
-    def embed(self, buf: AudioBuffer | WavSource, segment: Segment) -> Embedding:
-        rows = self.features(buf, segment, self.base_dims)
-        return Embedding(_pooled_vector(rows), segment_ref=segment)
+    def embed(self, buf: AudioBuffer | WavSource, segment: Segment) -> np.ndarray:
+        """The segment's float64 vector of ``dim`` pooled statistics."""
+        return _pooled_vector(self.features(buf, segment, self.base_dims))
 
 
 _HEADER = struct.Struct("<II")
 
 
 def write_embeddings(path: str | Path, embeddings) -> None:
-    """Write vectors in the embedding-matrix format.
+    """Write a (count, dim) matrix, rows in segment order, as an embedding file.
 
     Layout: two little-endian uint32 (count, dim), then count * dim
-    little-endian float32 values, row-major. ``embeddings`` is a 2-D
-    array or a sequence of Embedding, ordered by segment index.
+    little-endian float32 values, row-major.
     """
-    if isinstance(embeddings, np.ndarray):
-        matrix = np.asarray(embeddings, dtype=np.float64)
-    else:
-        matrix = np.stack([e.vector for e in embeddings]) if embeddings else np.zeros((0, 0))
+    matrix = np.asarray(embeddings, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError("embeddings must form a 2-D matrix")
     count, dim = matrix.shape
@@ -456,14 +432,13 @@ def write_embeddings(path: str | Path, embeddings) -> None:
         fh.write(matrix.astype("<f4").tobytes(order="C"))
 
 
-def load_external_embeddings(
-    path: str | Path, expected_dim: int | None = None
-) -> dict[int, Embedding]:
-    """Read an embedding-matrix file as {segment index: Embedding}.
+def load_external_embeddings(path: str | Path, expected_dim: int | None = None) -> np.ndarray:
+    """Read an embedding file as a float64 (count, dim) matrix, rows in segment order.
 
     Raises CorruptHeader on an unreadable header or trailing bytes,
-    TruncatedFile when rows are missing, and DimMismatch when the stated
-    dimension differs from ``expected_dim``.
+    TruncatedFile when rows are missing, DimMismatch when the stated
+    dimension differs from ``expected_dim`` and ValueError on a NaN or
+    infinite value.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -486,7 +461,7 @@ def load_external_embeddings(
         )
     if len(body) > need:
         raise CorruptHeader(f"{path}: {len(body) - need} trailing bytes")
-    matrix = np.frombuffer(body, dtype="<f4").reshape(count, dim)
-    return {
-        i: Embedding(vector=matrix[i].astype(np.float64)) for i in range(count)
-    }
+    matrix = np.frombuffer(body, dtype="<f4").reshape(count, dim).astype(np.float64)
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError(f"{path}: embedding values must be finite")
+    return matrix

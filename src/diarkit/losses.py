@@ -237,8 +237,9 @@ class ToyModel:
 
     @classmethod
     def load(cls, path) -> "ToyModel":
-        rows = load_external_embeddings(path)
-        matrix = np.stack([rows[i].vector for i in range(len(rows))])
+        matrix = load_external_embeddings(path)
+        if matrix.size == 0:
+            raise ValueError(f"{path}: model file holds no classes")
         return cls(weights=matrix[:, :-1], bias=matrix[:, -1])
 
 

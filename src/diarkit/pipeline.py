@@ -15,7 +15,7 @@ import numpy as np
 from .audio_io import AudioBuffer, Turn, WavSource, parse_rttm
 from .cluster import agglomerative_cluster, labels_to_turns
 from .corpus import CorpusManifest
-from .embed import Embedding, MfccEmbedder
+from .embed import MfccEmbedder
 from .errors import DiarkitError, check_numbers
 from .losses import TrainConfig
 from .preprocess import DenoiseParams, spectral_gate_denoise
@@ -128,17 +128,19 @@ def embed_segments(
     buf: AudioBuffer | WavSource,
     cfg: PipelineConfig,
     file_id: str,
-    external_embeddings: dict[int, Embedding] | None = None,
-) -> tuple[list[Segment], list[Embedding]]:
+    external_embeddings: np.ndarray | None = None,
+) -> tuple[list[Segment], np.ndarray]:
     """(denoise) -> VAD -> segment -> embed: the front end every command shares.
 
+    Returns the segments and their vectors as one float64 (segments, dim)
+    matrix, rows in segment order; (0, 0) when there are no segments.
     Each stage reads ``buf`` through ``read(lo, hi)``, so an open WavSource
     is diarized a block at a time, holding no copy of its samples. With
     denoise on, the later stages read the gate's float32 output instead.
 
-    ``external_embeddings`` replaces the MFCC embedder with vectors
-    keyed by segment index (the embedding-file layout); it must hold
-    exactly one vector per segment.
+    ``external_embeddings`` replaces the MFCC embedder with a matrix of
+    rows in segment order (the embedding-file layout); it must hold
+    exactly one row per segment.
     """
     if cfg.denoise:
         buf = spectral_gate_denoise(buf, cfg.denoise_params())
@@ -146,11 +148,13 @@ def embed_segments(
     segments = uniform_segment(regions, **cfg.section("segment"), file_id=file_id)
     if external_embeddings is None:
         embedder = cfg.embedder()  # its cache frames the buffer once
-        return segments, [embedder.embed(buf, s) for s in segments]
-    if sorted(external_embeddings) != [s.index for s in segments]:
+        matrix = np.array([embedder.embed(buf, s) for s in segments])
+    elif len(external_embeddings) != len(segments):
         rows = len(external_embeddings)
         raise ValueError(f"embedding file holds {rows} rows for {len(segments)} segments")
-    return segments, [external_embeddings[s.index] for s in segments]
+    else:
+        matrix = np.asarray(external_embeddings, dtype=np.float64)
+    return segments, matrix if segments else np.zeros((0, 0))
 
 
 @dataclass(frozen=True)
@@ -163,7 +167,7 @@ class DiarizationResult:
     turns: list[Turn]
     segments: list[Segment]
     labels: list[int]
-    embeddings: list[Embedding]
+    embeddings: np.ndarray  # float64 (segments, dim), rows in segment order
 
     def __iter__(self):
         return iter((self.turns, self.segments, self.labels))
@@ -173,7 +177,7 @@ def diarize_buffer(
     buf: AudioBuffer | WavSource,
     config: PipelineConfig | None = None,
     file_id: str = "file",
-    external_embeddings: dict[int, Embedding] | None = None,
+    external_embeddings: np.ndarray | None = None,
 ) -> DiarizationResult:
     """embed_segments -> cluster -> turns for one buffer.
 
@@ -183,7 +187,7 @@ def diarize_buffer(
     cfg = config or PipelineConfig()
     segments, embs = embed_segments(buf, cfg, file_id, external_embeddings)
     if not segments:
-        return DiarizationResult([], [], [], [])
+        return DiarizationResult([], [], [], embs)
     if cfg.num_speakers is not None:
         stop = {"k": min(cfg.num_speakers, len(segments))}
     else:

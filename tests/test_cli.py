@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import diarkit
+import diarkit.augment
 import diarkit.cli
 import diarkit.embed
 import diarkit.pipeline
@@ -510,8 +511,7 @@ def test_export_embeddings_round_trip(mixture_wav, tmp_path, capsys):
     table = load_external_embeddings(out)
     assert len(table) > 0
     assert f"wrote {len(table)} embeddings" in msg
-    assert sorted(table) == list(range(len(table)))
-    assert all(len(e.vector) == 52 for e in table.values())
+    assert table.shape == (len(table), 52)
 
 
 def test_external_embeddings_reproduce_the_mfcc_path(mixture_wav, tmp_path, capsys):
@@ -554,13 +554,37 @@ def test_exported_embeddings_round_trip_with_denoise(tmp_path, capsys):
 def test_embedding_file_with_an_extra_row_exits_4(mixture_wav, tmp_path, capsys):
     emb_file = tmp_path / "embs.bin"
     main(["export-embeddings", str(mixture_wav), str(emb_file)])
-    table = load_external_embeddings(emb_file)
-    rows = [table[i].vector for i in range(len(table))]
-    write_embeddings(emb_file, np.stack(rows + rows[:1]))
+    rows = load_external_embeddings(emb_file)
+    write_embeddings(emb_file, np.concatenate([rows, rows[:1]]))
     capsys.readouterr()
     rc = main(["diarize", str(mixture_wav), "--embeddings", str(emb_file)])
     assert rc == EXIT_VALIDATION
     assert f"{len(rows) + 1} rows for {len(rows)} segments" in capsys.readouterr().err
+
+
+def test_diarize_with_a_non_finite_embedding_file_exits_4(mixture_wav, tmp_path, capsys):
+    emb_file, rttm = tmp_path / "bad.bin", tmp_path / "o.rttm"
+    assert main(["export-embeddings", str(mixture_wav), str(emb_file)]) == EXIT_OK
+    rows = load_external_embeddings(emb_file)
+    rows[len(rows) // 2, 3] = np.nan
+    write_embeddings(emb_file, rows)
+    capsys.readouterr()
+    argv = ["diarize", str(mixture_wav), "--embeddings", str(emb_file), "--out-rttm", str(rttm)]
+    assert main(argv) == EXIT_VALIDATION
+    assert "finite" in capsys.readouterr().err
+    assert not rttm.exists()
+
+
+def test_a_noise_only_file_exports_the_empty_matrix_and_rediarizes_to_no_turns(
+    corpus_dir, tmp_path
+):
+    wav = corpus_dir / "0" / "0_000.wav"
+    emb_file, rttm = tmp_path / "empty.bin", tmp_path / "o.rttm"
+    assert main(["export-embeddings", str(wav), str(emb_file)]) == EXIT_OK
+    assert emb_file.read_bytes() == bytes(8)  # count 0, dim 0
+    argv = ["diarize", str(wav), "--embeddings", str(emb_file), "--out-rttm", str(rttm)]
+    assert main(argv) == EXIT_OK
+    assert rttm.read_text(encoding="utf-8") == ""
 
 
 def test_external_embeddings_rejected_for_batch_input(corpus_dir, tmp_path, capsys):
@@ -753,6 +777,45 @@ def test_augment_rttm_of_two_files_exits_4(mixture_wav, tmp_path, capsys):
     assert not out_wav.exists()
 
 
+@pytest.fixture
+def augment_spies(monkeypatch):
+    """Records every speed_change and pitch_shift call of augment_file."""
+    calls = []
+
+    def spy(name, real):
+        return lambda *a: calls.append(name) or real(*a)
+
+    for name in ("speed_change", "pitch_shift"):
+        monkeypatch.setattr(diarkit.augment, name, spy(name, getattr(diarkit.augment, name)))
+    return calls
+
+
+@pytest.mark.parametrize("flag", ["--semitones", "--intensity"])
+def test_augment_nan_exits_4_before_any_work(mixture_wav, tmp_path, augment_spies, capsys, flag):
+    out_wav = tmp_path / "x.wav"
+    rc = main(["augment", str(mixture_wav), str(out_wav), "--speed", "1.05", flag, "nan"])
+    assert rc == EXIT_VALIDATION
+    assert "must be a finite float" in capsys.readouterr().err
+    assert augment_spies == []
+    assert not out_wav.exists()
+
+
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_augment_negative_seed_exits_4_before_any_work(
+    mixture_wav, tmp_path, augment_spies, monkeypatch, capsys, how
+):
+    out_wav = tmp_path / "x.wav"
+    argv = ["augment", str(mixture_wav), str(out_wav), "--intensity", "0.05", "--speed", "1.05"]
+    if how == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("DIARKIT_SEED", "-1")
+    assert main(argv) == EXIT_VALIDATION
+    assert "rng_seed must be >= 0" in capsys.readouterr().err
+    assert augment_spies == []
+    assert not out_wav.exists()
+
+
 def test_augment_out_of_range_speed_exits_4(mixture_wav, tmp_path, capsys):
     rc = main(
         ["augment", str(mixture_wav), str(tmp_path / "x.wav"), "--speed", "1.5"]
@@ -833,8 +896,7 @@ def test_cli_and_library_share_one_path(tmp_path, capsys):
     segments, embs = embed_segments(read_wav(wav), cfg, "noisy")
     assert result.segments == segments
     assert len(result.embeddings) == len(embs) > 0
-    for got, want in zip(result.embeddings, embs):
-        assert np.array_equal(got.vector, want.vector)
+    assert np.array_equal(result.embeddings, embs)
 
 
 def test_diarize_denoise_prints_the_oracle_denoisers_rttm(tmp_path, monkeypatch, capsys):

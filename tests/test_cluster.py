@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from diarkit.cluster import agglomerative_cluster, cosine_distance, labels_to_turns
-from diarkit.embed import Embedding
 from diarkit.errors import (
     DimMismatch,
     EmptyInput,
@@ -17,10 +16,6 @@ from diarkit.errors import (
 from diarkit.vad import Segment
 
 from oracles import average_linkage_oracle, cosine_pairs_oracle
-
-
-def _embs(matrix):
-    return [Embedding(vector=row) for row in np.asarray(matrix, dtype=float)]
 
 
 def _partition(labels):
@@ -48,13 +43,13 @@ def test_cosine_errors():
 
 
 def test_k_equals_n_is_all_singletons():
-    res = agglomerative_cluster(_embs(np.eye(4)), {"k": 4})
+    res = agglomerative_cluster(np.eye(4), {"k": 4})
     assert res.labels == (0, 1, 2, 3)
     assert res.merge_trace == ()
 
 
 def test_identical_embeddings_collapse():
-    res = agglomerative_cluster(_embs(np.ones((6, 3))), {"threshold": 0.01})
+    res = agglomerative_cluster(np.ones((6, 3)), {"threshold": 0.01})
     assert set(res.labels) == {0}
 
 
@@ -71,7 +66,7 @@ def test_two_blobs_match_oracle():
             c2 + sigma * rng.normal(size=(2, 8)),
         ]
     )
-    res = agglomerative_cluster(_embs(pts), {"threshold": 0.5})
+    res = agglomerative_cluster(pts, {"threshold": 0.5})
     assert res.n_clusters == 2
     assert _partition(res.labels) == _partition([0, 0, 0, 1, 1])
     labels, trace = average_linkage_oracle(pts, threshold=0.5)
@@ -95,7 +90,7 @@ def test_random_cases_match_oracle():
         else:
             stop = {"threshold": float(rng.uniform(0.2, 1.2))}
             labels, trace = average_linkage_oracle(pts, threshold=stop["threshold"])
-        res = agglomerative_cluster(_embs(pts), stop)
+        res = agglomerative_cluster(pts, stop)
         assert list(res.labels) == labels, f"case {case}: labels diverge"
         assert [(a, b) for a, b, _ in res.merge_trace] == [
             (a, b) for a, b, _ in trace
@@ -107,16 +102,16 @@ def test_random_cases_match_oracle():
 
 def test_single_embedding_is_one_cluster():
     for stop in ({"k": 1}, {"threshold": 0.5}):
-        res = agglomerative_cluster(_embs([[1.0, 2.0]]), stop)
+        res = agglomerative_cluster([[1.0, 2.0]], stop)
         assert res.labels == (0,)
         assert res.merge_trace == ()
     with pytest.raises(ZeroVector):
-        agglomerative_cluster(_embs([[0.0, 0.0]]), {"k": 1})
+        agglomerative_cluster([[0.0, 0.0]], {"k": 1})
 
 
 def test_two_thousand_segments_cluster_within_budget():
     # Guards against a return to per-merge rescans, which cost O(n^3).
-    embs = _embs(np.random.default_rng(12).normal(size=(2000, 52)))
+    embs = np.random.default_rng(12).normal(size=(2000, 52))
     start = time.perf_counter()
     res = agglomerative_cluster(embs, {"k": 4})
     assert time.perf_counter() - start < 2.0
@@ -128,7 +123,7 @@ def test_merge_distances_non_decreasing():
     rng = np.random.default_rng(8)
     for _ in range(10):
         pts = rng.normal(size=(12, 6))
-        res = agglomerative_cluster(_embs(pts), {"k": 1})
+        res = agglomerative_cluster(pts, {"k": 1})
         dists = [d for _, _, d in res.merge_trace]
         assert all(b >= a - 1e-12 for a, b in zip(dists, dists[1:]))
 
@@ -137,8 +132,8 @@ def test_permutation_equivariance():
     rng = np.random.default_rng(9)
     pts = rng.normal(size=(10, 5))
     perm = rng.permutation(10)
-    base = agglomerative_cluster(_embs(pts), {"threshold": 0.6})
-    shuffled = agglomerative_cluster(_embs(pts[perm]), {"threshold": 0.6})
+    base = agglomerative_cluster(pts, {"threshold": 0.6})
+    shuffled = agglomerative_cluster(pts[perm], {"threshold": 0.6})
     relabeled = [None] * 10
     for new_pos, old_pos in enumerate(perm):
         relabeled[old_pos] = shuffled.labels[new_pos]
@@ -148,8 +143,8 @@ def test_permutation_equivariance():
 def test_scale_invariance():
     rng = np.random.default_rng(10)
     pts = rng.normal(size=(9, 5))
-    a = agglomerative_cluster(_embs(pts), {"threshold": 0.5})
-    b = agglomerative_cluster(_embs(3.0 * pts), {"threshold": 0.5})
+    a = agglomerative_cluster(pts, {"threshold": 0.5})
+    b = agglomerative_cluster(3.0 * pts, {"threshold": 0.5})
     assert a.labels == b.labels
     assert [(x, y) for x, y, _ in a.merge_trace] == [
         (x, y) for x, y, _ in b.merge_trace
@@ -160,18 +155,18 @@ def test_cluster_errors():
     with pytest.raises(EmptyInput):
         agglomerative_cluster([], {"threshold": 0.5})
     with pytest.raises(KTooLarge):
-        agglomerative_cluster(_embs(np.eye(3)), {"k": 4})
+        agglomerative_cluster(np.eye(3), {"k": 4})
     with pytest.raises(ValueError):
-        agglomerative_cluster(_embs(np.eye(3)), {"bogus": 1})
+        agglomerative_cluster(np.eye(3), {"bogus": 1})
     with pytest.raises(ValueError):
-        agglomerative_cluster(_embs(np.eye(3)), {"k": 0})
+        agglomerative_cluster(np.eye(3), {"k": 0})
     for t in (np.nan, -1.0, np.inf, "0.4", None, True):
         with pytest.raises(ValueError, match="threshold"):
-            agglomerative_cluster(_embs(np.eye(3)), {"threshold": t})
+            agglomerative_cluster(np.eye(3), {"threshold": t})
     for rows in ([[np.nan, 1.0]], [[np.nan, 1.0], [1.0, 0.0]], [[1.0, 0.0], [np.inf, 1.0]]):
         for stop in ({"k": 1}, {"threshold": 0.5}):
             with pytest.raises(ValueError, match="finite"):
-                agglomerative_cluster(_embs(rows), stop)
+                agglomerative_cluster(rows, stop)
 
 
 def test_a_merge_tied_with_the_one_that_takes_its_cluster_reports_its_first_member():
@@ -188,7 +183,7 @@ def test_a_merge_tied_with_the_one_that_takes_its_cluster_reports_its_first_memb
         [1, 0, 0, 0, 0, 0],
     ]
     for rows in (first, second):
-        res = agglomerative_cluster(_embs(rows), {"k": 1})
+        res = agglomerative_cluster(rows, {"k": 1})
         labels, trace = average_linkage_oracle(rows, k=1)
         assert list(res.labels) == labels
         pairs = [(a, b) for a, b, _ in res.merge_trace]
@@ -203,7 +198,7 @@ def test_rows_a_scale_apart_read_at_zero_merge_as_one_vectors_copies():
     # 0 and reports the first member of the one cluster they all build.
     a = np.array([1.0, 2.0, 1.0])
     assert not np.array_equal(a / np.linalg.norm(a), 3 * a / np.linalg.norm(3 * a))
-    res = agglomerative_cluster(_embs([a, 3 * a] * 3), {"k": 1})
+    res = agglomerative_cluster([a, 3 * a] * 3, {"k": 1})
     assert res.merge_trace == tuple((0, b, 0.0) for b in range(1, 6))
 
 
@@ -217,7 +212,7 @@ def test_merge_distances_of_nearly_parallel_rows_are_never_negative(stop):
         if not (a.any() and b.any()):
             continue
         rows = [a, 2 * a, 3 * a, b, 5 * b, 7 * a][: rng.integers(3, 7)]
-        res = agglomerative_cluster(_embs(rows), stop)
+        res = agglomerative_cluster(rows, stop)
         assert len(res.merge_trace) == len(rows) - 1
         assert all(0.0 <= d <= 2.0 for _, _, d in res.merge_trace), (rows, res.merge_trace)
 
@@ -300,7 +295,7 @@ def test_clustering_memory_stays_within_one_distance_matrix():
     import tracemalloc
 
     n = 3000
-    embs = _embs(np.random.default_rng(22).normal(size=(n, 52)))
+    embs = np.random.default_rng(22).normal(size=(n, 52))
     tracemalloc.start()
     try:
         agglomerative_cluster(embs, {"k": 4})
@@ -316,7 +311,7 @@ def test_clustering_memory_stays_within_a_tenth_of_a_distance_matrix():
     import tracemalloc
 
     n = 3000
-    embs = _embs(np.random.default_rng(22).normal(size=(n, 52)))
+    embs = np.random.default_rng(22).normal(size=(n, 52))
     tracemalloc.start()
     try:
         agglomerative_cluster(embs, {"k": 4})

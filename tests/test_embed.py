@@ -5,7 +5,6 @@ import pytest
 
 from diarkit.audio_io import AudioBuffer
 from diarkit.embed import (
-    Embedding,
     MfccEmbedder,
     _OrthoDct2,
     _pooled_vector,
@@ -116,18 +115,18 @@ def test_segment_rows_are_the_frames_inside_the_segment():
 
 def test_pool_constant_features_have_zero_std():
     f = np.tile(np.arange(39.0), (10, 1))
-    emb = Embedding(_pooled_vector(f[:, :26]))
-    assert emb.dim == 52
-    assert np.allclose(emb.vector[26:], 0.0)
-    assert np.allclose(emb.vector[:26], np.arange(26.0))
+    emb = _pooled_vector(f[:, :26])
+    assert emb.shape == (52,)
+    assert np.allclose(emb[26:], 0.0)
+    assert np.allclose(emb[:26], np.arange(26.0))
 
 
 def test_pool_is_frame_order_invariant():
     rng = np.random.default_rng(7)
     f = rng.normal(size=(40, 39))
-    emb1 = Embedding(_pooled_vector(f[:, :26]))
-    emb2 = Embedding(_pooled_vector(f[rng.permutation(40)][:, :26]))
-    assert np.allclose(emb1.vector, emb2.vector)
+    emb1 = _pooled_vector(f[:, :26])
+    emb2 = _pooled_vector(f[rng.permutation(40)][:, :26])
+    assert np.allclose(emb1, emb2)
 
 
 def test_pool_too_few_frames():
@@ -140,13 +139,13 @@ def test_stationary_halves_are_close():
     emb = MfccEmbedder()
     e1 = emb.embed(buf, _seg(0.0, 2.0))
     e2 = emb.embed(buf, _seg(2.0, 4.0, idx=1))
-    assert _cosine(e1.vector, e2.vector) < 0.05
+    assert _cosine(e1, e2) < 0.05
 
 
 def test_embedder_is_deterministic():
     buf = _voice(120.0, [(500.0, 90.0), (1400.0, 220.0)], 2.0, seed=2)
-    a = MfccEmbedder().embed(buf, _seg(0.2, 1.7)).vector
-    b = MfccEmbedder().embed(buf, _seg(0.2, 1.7)).vector
+    a = MfccEmbedder().embed(buf, _seg(0.2, 1.7))
+    b = MfccEmbedder().embed(buf, _seg(0.2, 1.7))
     assert np.array_equal(a, b)
 
 
@@ -161,7 +160,7 @@ def test_two_voices_separate():
         segs = [
             _seg(1.5 * k, 1.5 * (k + 1), idx=k) for k in range(16)
         ]
-        per_voice.append([emb.embed(buf, s).vector for s in segs])
+        per_voice.append([emb.embed(buf, s) for s in segs])
     within = []
     for vecs in per_voice:
         within += [
@@ -175,14 +174,13 @@ def test_two_voices_separate():
     assert np.mean(within) < np.mean(between)
 
 
-def test_embedder_returns_the_pooled_vector_with_its_segment():
+def test_embedder_returns_the_segments_pooled_float64_vector():
     buf = tone(300.0, 3.0)
     seg = _seg(0.5, 2.0, idx=4)
     got = MfccEmbedder().embed(buf, seg)
-    want = Embedding(vector=_pooled_vector(MfccEmbedder().features(buf, seg)[:, :26]), segment_ref=seg)
-    assert np.array_equal(got.vector, want.vector)
-    assert got.vector.dtype == np.float64
-    assert got.segment_ref is seg
+    want = _pooled_vector(MfccEmbedder().features(buf, seg)[:, :26])
+    assert np.array_equal(got, want)
+    assert got.dtype == np.float64 and got.shape == (52,)
 
 
 @pytest.mark.parametrize("base_dims", [13, 20, 26, 39])
@@ -200,7 +198,7 @@ def test_embeddings_pool_the_whole_table_rows(base_dims):
     embedder = MfccEmbedder(base_dims=base_dims)
     for on, off in edges:
         seg = _seg(on, off)
-        got = embedder.embed(buf, seg).vector
+        got = embedder.embed(buf, seg)
         rows = MfccEmbedder().features(buf, seg)
         assert np.array_equal(got, _pooled_vector(rows[:, :base_dims])), (on, off)
         starts = np.arange(0, len(buf) - 400 + 1, 160)
@@ -230,13 +228,6 @@ def test_dct_equals_scipy_bit_for_bit_on_every_length_and_column_count():
                 assert np.array_equal(got.view(np.uint64), want[:rows, 1 : count + 1]), (n, count)
 
 
-def test_embedding_validation():
-    with pytest.raises(ValueError):
-        Embedding(vector=np.array([1.0, np.nan]))
-    with pytest.raises(ValueError):
-        Embedding(vector=np.zeros((2, 2)))
-
-
 # --- embedding-matrix file format ---
 
 
@@ -246,17 +237,16 @@ def test_round_trip(tmp_path):
     path = tmp_path / "emb.bin"
     write_embeddings(path, matrix)
     loaded = load_external_embeddings(path)
-    assert sorted(loaded) == list(range(10))
-    got = np.stack([loaded[i].vector for i in range(10)])
-    assert np.array_equal(got.astype(np.float32), matrix)
+    assert loaded.shape == (10, 52) and loaded.dtype == np.float64
+    assert np.array_equal(loaded.astype(np.float32), matrix)
 
 
-def test_round_trip_from_embedding_objects(tmp_path):
-    embs = [Embedding(vector=np.full(4, float(i))) for i in range(3)]
+def test_round_trip_from_stacked_vectors(tmp_path):
+    embs = np.stack([np.full(4, float(i)) for i in range(3)])
     path = tmp_path / "emb.bin"
     write_embeddings(path, embs)
     loaded = load_external_embeddings(path, expected_dim=4)
-    assert np.array_equal(loaded[2].vector, np.full(4, 2.0))
+    assert np.array_equal(loaded[2], np.full(4, 2.0))
 
 
 def test_truncated_file(tmp_path):
@@ -288,6 +278,16 @@ def test_dim_mismatch(tmp_path):
     path = tmp_path / "emb.bin"
     write_embeddings(path, np.ones((5, 768), dtype=np.float32))
     loaded = load_external_embeddings(path, expected_dim=768)
-    assert loaded[0].dim == 768
+    assert loaded.shape == (5, 768)
     with pytest.raises(DimMismatch):
         load_external_embeddings(path, expected_dim=52)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_loader_rejects_a_non_finite_value(tmp_path, bad):
+    matrix = np.ones((3, 4), dtype=np.float32)
+    matrix[1, 2] = bad
+    path = tmp_path / "emb.bin"
+    write_embeddings(path, matrix)
+    with pytest.raises(ValueError, match="finite"):
+        load_external_embeddings(path)

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from diarkit.embed import write_embeddings
 from diarkit.errors import (
     EmptyData,
     ImpossibleAlignment,
@@ -293,3 +294,10 @@ class TestToyModelFile:
         assert np.array_equal(back.weights, model.weights)
         assert np.array_equal(back.bias, model.bias)
         assert back.n_classes == 3
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3)])
+    def test_a_model_file_with_no_classes_is_rejected(self, tmp_path, shape):
+        path = tmp_path / "model.emb"
+        write_embeddings(path, np.zeros(shape))
+        with pytest.raises(ValueError):
+            ToyModel.load(path)
