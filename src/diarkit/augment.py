@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .audio_io import AudioBuffer, Turn, sinc_interp
-from .corpus import default_profile_pool, synth_utterance
+from .corpus import RATE, default_profile_pool, synth_utterance
 from .errors import SilentInput, check_numbers
 
 _WSOLA_WINDOW = 480  # 30 ms at 16 kHz
@@ -57,8 +57,8 @@ def _babble(n: int, rate: int, rng) -> np.ndarray:
         stream = synth_utterance(
             pool[int(i)], duration, seed=int(rng.integers(0, 2**31))
         ).samples.astype(np.float64)
-        if rate != 16_000:
-            stream = sinc_interp(stream, Fraction(rate, 16_000))
+        if rate != RATE:
+            stream = sinc_interp(stream, Fraction(rate, RATE))
         if len(stream) < n:
             stream = np.pad(stream, (0, n - len(stream)))
         total += np.roll(stream[:n], int(rng.integers(0, n)))

@@ -25,7 +25,6 @@ from .errors import BadSpeakerCount, BadSplit, IoError, TooShort
 RATE = 16_000
 DEFAULT_LAYOUT = {0: 60, 1: 58, 2: 51, 3: 50, 4: 50}
 DEFAULT_SPLIT = (0.7, 0.2, 0.1)
-SPLIT_NAMES = ("train", "val", "test")
 
 # Conversation scheduling constants (seconds).
 TURN_LO, TURN_HI = 2.0, 4.5

@@ -13,7 +13,7 @@ over the cepstra two frames either side, so a segment's delta and
 delta-delta rows are rebuilt from the cepstral rows around it when it is
 pooled; no table holds them for the whole recording. The cepstra are
 the orthonormal DCT-II of the log-mel energies, computed by a numpy port
-of pocketfft's (``_OrthoDct2``), bit for bit with ``scipy.fft.dct``, so
+of pocketfft's (``_dct_ii``), bit for bit with ``scipy.fft.dct``, so
 the front end, like every command, runs without scipy.
 
 A recording's vectors are one float64 (segments, dim) matrix, rows in
@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import struct
 import weakref
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -42,7 +43,7 @@ from .errors import (
     TooShort,
     TruncatedFile,
 )
-from .vad import _BLOCK_FRAMES, Segment, _frame_blocks
+from .vad import _BLOCK_FRAMES, Segment, _frame_and_hop, _frame_blocks
 
 _PRE_EMPHASIS = 0.97
 _MIN_NFFT = 512
@@ -153,77 +154,49 @@ def _dct_twiddles(n: int) -> np.ndarray:
     return out
 
 
-class _OrthoDct2:
-    """Columns 1..count of the orthonormal DCT-II of the rows of blocks of
-    up to ``rows`` rows of length n, bit for bit
+def _dct_ii(n: int, count: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The block transform x -> (rows, count): columns 1..count of the
+    orthonormal DCT-II of x's rows of length n, bit for bit
     ``scipy.fft.dct(x, 2, norm="ortho", axis=1)[:, 1 : count + 1]``.
 
-    A port of pocketfft's DCT-II, which scipy runs. A pre-step packs each
-    row into the half spectrum of a real sequence, numpy's pocketfft
-    inverse real FFT (unscaled: ``norm="forward"``) transforms it, and a
-    post-step forms coefficients k and n - k from outputs k and n - k, each
-    scaled by 1 / sqrt(2 n), and two twiddles. Every product and sum is one
-    that pocketfft rounds, so the post-step can form only the columns
-    asked for, each step one pass over a block.
+    A port of pocketfft's DCT-II, which scipy runs (Makhoul's length-n
+    real-FFT algorithm). A pre-step packs each row into the half spectrum
+    of a real sequence, numpy's pocketfft inverse real FFT (unscaled:
+    ``norm="forward"``) transforms it, and a post-step forms coefficients
+    k and n - k from outputs k and n - k, each scaled by 1 / sqrt(2 n),
+    and two twiddles. Every product and sum is one that pocketfft rounds,
+    so the post-step can form only the columns asked for.
     """
+    tw = _dct_twiddles(n)
+    pairs = (n - 1) // 2
+    low = min(count, pairs)  # columns k = 1..low lie below n / 2
+    k = np.arange(1, low + 1)
+    tw_k, tw_nk, tw_mid = tw[k - 1], tw[n - k - 1], tw[n // 2 - 1]
+    scale = float(np.longdouble(1) / np.sqrt(np.longdouble(2 * n)))
 
-    def __init__(self, n: int, count: int, rows: int) -> None:
-        tw = _dct_twiddles(n)
-        self.n, self.count, self.rows = n, count, rows
-        self.low = low = min(count, (n - 1) // 2)  # columns k = 1..low lie below n / 2
-        k = np.arange(1, low + 1)
-        # Tiled to whole blocks, so each post-step product is one contiguous pass.
-        self.tw_k = np.tile(tw[k - 1], (rows, 1))
-        self.tw_nk = np.tile(tw[n - k - 1], (rows, 1))
-        self.tw_mid = tw[n // 2 - 1]
-        self.scale = float(np.longdouble(1) / np.sqrt(np.longdouble(2 * n)))
-
-    def scratch(self) -> tuple:
-        """One worker's buffers: the half spectrum, the FFT output and three
-        (rows, low) temporaries. The imaginary parts of the spectrum's
-        first bin, and for even n its last, stay zero; the FFT reads
-        neither."""
-        rows, n, low = self.rows, self.n, self.low
-        return (
-            np.zeros((rows, n // 2 + 1), dtype=np.complex128),
-            np.empty((rows, n)),
-            np.empty((rows, low)),
-            np.empty((rows, low)),
-            np.empty((rows, low)),
-        )
-
-    def __call__(self, x: np.ndarray, out: np.ndarray, spec, y, u, v, w) -> np.ndarray:
-        """Write the coefficients of x's rows, (r, n), into out, (r, count)."""
-        r = len(x)
-        n, count, low = self.n, self.count, self.low
-        pairs = (n - 1) // 2
-        spec, y, u, v, w = spec[:r], y[:r], u[:r], v[:r], w[:r]
-        tw_k, tw_nk = self.tw_k[:r], self.tw_nk[:r]
+    def transform(x: np.ndarray) -> np.ndarray:
         # Bin j is (x[2j-1] + x[2j]) + i (x[2j] - x[2j-1]), which is
-        # (x[2j-1] + i x[2j]) (1 - i) exactly: every product is by +-1.
-        np.multiply(x[:, 1 : 2 * pairs + 1].view(np.complex128), 1 - 1j, out=spec[:, 1 : pairs + 1])
-        np.multiply(x[:, 0], 2.0, out=spec[:, 0].real)
+        # (x[2j-1] + i x[2j]) (1 - i) exactly: every product is by +-1 or 2.
+        spec = np.zeros((len(x), n // 2 + 1), dtype=np.complex128)
+        spec[:, 1 : pairs + 1] = x[:, 1 : 2 * pairs + 1].view(np.complex128) * (1 - 1j)
+        spec[:, 0] = x[:, 0] * 2.0
         if n % 2 == 0:
-            np.multiply(x[:, n - 1], 2.0, out=spec[:, n // 2].real)
-        np.fft.irfft(spec, n, axis=1, norm="forward", out=y)
-        np.multiply(y[:, 1 : low + 1], self.scale, out=u)  # y[k]
-        np.multiply(y[:, n - 1 : n - low - 1 : -1], self.scale, out=v)  # y[n - k]
-        t1 = np.multiply(tw_k, v, out=w)
-        t1 += np.multiply(tw_nk, u, out=out[:, :low])  # t1 = tw_k y[n-k] + tw_nk y[k]
-        u *= tw_k
-        v *= tw_nk
-        t2 = np.subtract(u, v, out=u)  # t2 = tw_k y[k] - tw_nk y[n-k]
-        lo = np.add(t1, t2, out=out[:, :low])  # column k is (t1 + t2) / 2
-        lo *= 0.5
+            spec[:, n // 2] = x[:, n - 1] * 2.0
+        y = np.fft.irfft(spec, n, axis=1, norm="forward")
+        yk, ynk = y[:, 1 : low + 1] * scale, y[:, n - 1 : n - low - 1 : -1] * scale
+        t1 = tw_k * ynk + tw_nk * yk
+        t2 = tw_k * yk - tw_nk * ynk
+        out = np.empty((len(x), count))
+        out[:, :low] = (t1 + t2) * 0.5  # column k
         if count > n // 2:
-            # Column n - k is (t1 - t2) / 2, for k from low down to n - count.
-            k = slice(n - count - 1, low)
-            hi = np.subtract(t1[:, k][:, ::-1], t2[:, k][:, ::-1], out=out[:, n // 2 : count])
-            hi *= 0.5
+            # Column n - k, for k from low down to n - count.
+            s = slice(n - count - 1, low)
+            out[:, n // 2 : count] = (t1[:, s] - t2[:, s])[:, ::-1] * 0.5
         if n % 2 == 0 and count >= n // 2:
-            mid = np.multiply(y[:, n // 2], self.scale, out=out[:, n // 2 - 1])
-            mid *= self.tw_mid
+            out[:, n // 2 - 1] = y[:, n // 2] * scale * tw_mid
         return out
+
+    return transform
 
 
 def _frame_starts(n_samples: int, frame: int, hop: int) -> np.ndarray:
@@ -250,10 +223,11 @@ def _buffer_features(
     The cepstral mean is taken over the whole buffer, once every worker
     has joined, so features of a segment depend on the recording it came
     from but not on where the segment boundaries fall.
+
+    Raises ValueError when the frame or hop is shorter than one sample.
     """
     rate = buf.sample_rate_hz
-    frame = int(round(rate * frame_ms / 1000.0))
-    hop = int(round(rate * hop_ms / 1000.0))
+    frame, hop = _frame_and_hop(rate, frame_ms, hop_ms)
     starts = _frame_starts(len(buf), frame, hop)
     if len(starts) == 0:
         return starts, np.zeros((0, n_coeffs))
@@ -266,14 +240,13 @@ def _buffer_features(
     blocks = list(_frame_blocks(len(starts), _MFCC_BLOCK))
     workers = min(_usable_cores(), len(blocks))
     rows = min(len(starts), _MFCC_BLOCK)
-    dct = _OrthoDct2(n_mels, n_coeffs, rows)
+    dct = _dct_ii(n_mels, n_coeffs)
 
     def scratch():
         # (zero-padded FFT input, spectrum, power, mel, samples, pre-emphasis
-        # product, the DCT's buffers), allocated here in the calling thread
-        # and reused for every block of one worker: allocated per block, or
-        # inside a pool thread's own heap arena, they fault in fresh pages
-        # again.
+        # product), allocated here in the calling thread and reused for
+        # every block of one worker: allocated per block, or inside a pool
+        # thread's own heap arena, they fault in fresh pages again.
         # Columns of the FFT input past ``frame`` stay zero.
         n_samples = (rows - 1) * hop + frame + 1
         return (
@@ -283,10 +256,9 @@ def _buffer_features(
             np.empty((rows, n_mels)),
             np.empty(n_samples),
             np.empty(n_samples - 1),
-            dct.scratch(),
         )
 
-    def run(share, padded, spectrum, power, mel, samples, product, dct_scratch):
+    def run(share, padded, spectrum, power, mel, samples, product):
         for lo, hi in share:
             first, end = int(starts[lo]), int(starts[hi - 1]) + frame
             start = max(first - 1, 0)
@@ -302,7 +274,7 @@ def _buffer_features(
             # One call per block: BLAS paths differ by size.
             logmel = np.matmul(power[:n], fb_t, out=mel[:n])
             np.log(np.maximum(logmel, _LOG_FLOOR, out=logmel), out=logmel)
-            dct(logmel, cepstra[lo:hi], *dct_scratch)
+            cepstra[lo:hi] = dct(logmel)
 
     shares = [(blocks[i::workers], *scratch()) for i in range(workers)]
     if workers == 1:
@@ -379,6 +351,10 @@ class MfccEmbedder:
             raise ValueError("n_mels must exceed n_coeffs")
         if base_dims > 3 * n_coeffs:
             raise ValueError("base_dims cannot exceed the feature width")
+        if n_coeffs < 1 or base_dims < 1:
+            raise ValueError("n_coeffs and base_dims must be >= 1")
+        if frame_ms <= 0 or hop_ms <= 0:
+            raise ValueError("frame_ms and hop_ms must be > 0")
         self.n_mels = n_mels
         self.n_coeffs = n_coeffs
         self.frame_ms = frame_ms
@@ -387,10 +363,6 @@ class MfccEmbedder:
         self._cache: weakref.WeakKeyDictionary[AudioBuffer | WavSource, tuple] = (
             weakref.WeakKeyDictionary()
         )
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.base_dims
 
     def features(
         self, buf: AudioBuffer | WavSource, segment: Segment, width: int | None = None
@@ -410,7 +382,7 @@ class MfccEmbedder:
         return _feature_rows(cepstra, *_segment_rows(buf, segment, starts, self.frame_ms), width)
 
     def embed(self, buf: AudioBuffer | WavSource, segment: Segment) -> np.ndarray:
-        """The segment's float64 vector of ``dim`` pooled statistics."""
+        """The segment's float64 vector of ``2 * base_dims`` pooled statistics."""
         return _pooled_vector(self.features(buf, segment, self.base_dims))
 
 

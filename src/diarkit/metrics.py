@@ -459,7 +459,7 @@ def pooled_report(
         raise EmptyReference("reference contains no scored speech in any file")
     der = DerReport(missed, fa, confusion, total, (missed + fa + confusion) / total, mapping)
     purity = credit / hyp_s if hyp_s > 0.0 else 0.0
-    return MetricReport(der=der, jer=sum(jers) / total, cluster_purity=purity)
+    return MetricReport(der=der, jer=_in_order(np.array(jers)) / total, cluster_purity=purity)
 
 
 def cluster_purity(

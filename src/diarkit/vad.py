@@ -34,6 +34,14 @@ _BLOCK_FRAMES = 1024
 _SUM_LEAF = 1 << 16  # samples per float64 leaf of the buffer-mean sum
 
 
+def _frame_and_hop(rate: int, frame_ms: float, hop_ms: float) -> tuple[int, int]:
+    """Frame and hop in samples at ``rate``; ValueError if either rounds below one."""
+    frame, hop = (int(round(rate * ms / 1000.0)) for ms in (frame_ms, hop_ms))
+    if min(frame, hop) < 1:
+        raise ValueError(f"frame_ms {frame_ms} and hop_ms {hop_ms} must each span a sample at {rate} Hz")
+    return frame, hop
+
+
 @dataclass(frozen=True)
 class SpeechRegion:
     """A maximal detected span of speech, in seconds."""
@@ -207,12 +215,12 @@ def energy_vad(
     over: for the mean and range, for the frame energies and, only when
     those are uniform, for the spectral flatness.
 
-    Raises TooShort when the buffer holds less than one frame.
+    Raises TooShort when the buffer holds less than one frame and
+    ValueError when the frame or hop is shorter than one sample.
     """
     if frame_ms <= 0 or hop_ms <= 0 or hangover_ms < 0:
         raise ValueError("frame_ms and hop_ms must be > 0, hangover_ms >= 0")
-    frame = int(round(buf.sample_rate_hz * frame_ms / 1000.0))
-    hop = int(round(buf.sample_rate_hz * hop_ms / 1000.0))
+    frame, hop = _frame_and_hop(buf.sample_rate_hz, frame_ms, hop_ms)
     if len(buf) < frame:
         raise TooShort(
             f"buffer of {len(buf)} samples is shorter than one "

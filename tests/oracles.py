@@ -310,13 +310,12 @@ def pooled_report_oracle(files, collar_s=0.0):
     the collar test bisecting the sorted reference edges, and every total
     is added one interval at a time.
 
-    This is the scorer as it stood before it read interval arrays,
-    kept verbatim as the reference for its summation order: the totals
-    must match bit for bit, not within a tolerance. Python 3.11's builtin
-    ``sum`` adds floats left to right (from 3.12 it compensates, and the
-    reference would move). The speaker assignment and the report types
-    come from ``diarkit.metrics``, because they are not what this oracle
-    checks.
+    This is the scorer as it stood before it read interval arrays, kept
+    as the reference for its summation order: the totals must match bit
+    for bit, not within a tolerance, so every float total is an explicit
+    left-to-right loop (from Python 3.12 the builtin ``sum`` compensates).
+    The speaker assignment and the report types come from
+    ``diarkit.metrics``, because they are not what this oracle checks.
     """
     from bisect import bisect_left
 
@@ -365,8 +364,10 @@ def pooled_report_oracle(files, collar_s=0.0):
                     overlap[row[r], col[h]] += d
         pairs = hungarian_assign(-overlap) if overlap.size else {}
         mapping = {r_spk[i]: h_spk[j] for i, j in pairs.items() if overlap[i, j] > 0.0}
-        ref_s = sum(d * len(r) for d, r, _ in intervals)
-        hyp_s = sum(d * len(h) for d, _, h in intervals)
+        ref_s = hyp_s = 0.0
+        for d, r, h in intervals:
+            ref_s += d * len(r)
+            hyp_s += d * len(h)
         credit = 0.0
         for best in overlap.max(axis=0, initial=0.0).tolist():
             credit += best
@@ -392,7 +393,10 @@ def pooled_report_oracle(files, collar_s=0.0):
             if h is None:
                 errors.append(1.0)
                 continue
-            union = sum(d for d, ra, ha in intervals if r in ra or h in ha)
+            union = 0.0
+            for d, ra, ha in intervals:
+                if r in ra or h in ha:
+                    union += d
             errors.append(1.0 - float(overlap[i, h_spk.index(h)]) / union)
         return float(np.mean(errors))
 
@@ -418,7 +422,10 @@ def pooled_report_oracle(files, collar_s=0.0):
         raise EmptyReference("reference contains no scored speech in any file")
     report = DerReport(missed, fa, confusion, total, (missed + fa + confusion) / total, mapping)
     purity = credit / hyp_s if hyp_s > 0.0 else 0.0
-    return MetricReport(der=report, jer=sum(jers) / total, cluster_purity=purity).to_dict()
+    pooled_jer = 0.0
+    for j in jers:
+        pooled_jer += j
+    return MetricReport(der=report, jer=pooled_jer / total, cluster_purity=purity).to_dict()
 
 
 def frame_energies_oracle(x: np.ndarray, frame: int, hop: int) -> np.ndarray:

@@ -135,6 +135,13 @@ class TestPitchShift:
         with pytest.raises(ValueError):
             pitch_shift(tone(440.0, 1.0), 13.0)
 
+    @pytest.mark.parametrize("n", [100, 250, diarkit.augment._WSOLA_WINDOW])
+    def test_a_clip_of_at_most_one_window_keeps_its_length(self, n):
+        # Too short to splice, the stretch interpolates at scaled positions.
+        out = pitch_shift(tone(440.0, n / 16000), 2.0)
+        assert len(out) == n
+        assert np.all(np.isfinite(out.samples))
+
 
 class TestAugmentFile:
     def test_identity_spec_returns_input(self):

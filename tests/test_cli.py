@@ -113,6 +113,17 @@ NAN, INF = float("nan"), float("inf")
         ("diarize", {}, ["--threshold", "nan"]),
         ("diarize", {"denoise": {"enabled": "no"}}, []),
         ("diarize", {"denoise": {"enabled": 1}}, []),
+        ("diarize", {"embed": {"frame_ms": 0}}, []),
+        ("diarize", {"embed": {"frame_ms": -5}}, []),
+        ("diarize", {"embed": {"hop_ms": 0}}, []),
+        ("diarize", {"embed": {"hop_ms": -10}}, []),
+        ("diarize", {"embed": {"base_dims": 0}}, []),
+        ("diarize", {"embed": {"base_dims": -3}}, []),
+        ("diarize", {"vad": {"frame_ms": 0}}, []),
+        ("diarize", {"segment": {"window_s": 0}}, []),
+        ("diarize", {"vad": {"threshold_db": 0}}, []),
+        ("diarize", {"vad": {"hangover_ms": -1}}, []),
+        ("diarize", {}, ["--num-speakers", "0"]),
     ],
 )
 def test_malformed_config_exits_4_before_any_audio_is_read(tmp_path, capsys, command, doc, flags):
@@ -126,6 +137,25 @@ def test_malformed_config_exits_4_before_any_audio_is_read(tmp_path, capsys, com
         "train-toy": ["train-toy", "--manifest", str(tmp_path / "missing.json")],
     }[command]
     assert main(argv + ["--config", str(cfg)] + flags) == EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"embed": {"frame_ms": 0.01}},
+        {"embed": {"hop_ms": 0.01}},
+        {"vad": {"frame_ms": 0.01}},
+        {"vad": {"hop_ms": 0.01}},
+    ],
+)
+def test_a_frame_or_hop_shorter_than_one_sample_exits_4(tmp_path, mixture_wav, capsys, doc):
+    cfg = tmp_path / "short.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out.rttm"
+    argv = ["diarize", str(mixture_wav), "--num-speakers", "2", "--config", str(cfg)]
+    assert main(argv + ["--out-rttm", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
     assert capsys.readouterr().err.startswith("error: ")
 
 
