@@ -197,7 +197,9 @@ def cmd_evaluate(args) -> int:
                 table[next(iter(other))] = table.popitem()[1]
     unmatched = sorted(set(ref_table) - set(hyp_table))
     if unmatched:
-        raise PairingError(f"no hypothesis for file_id(s): {', '.join(unmatched)}")
+        held = ", ".join(sorted(hyp_table)) or "none"
+        raise PairingError(f"no hypothesis for file_id(s): {', '.join(unmatched)}; "
+                           f"the hypothesis holds file_id(s): {held}")
     unscored = sorted(set(hyp_table) - set(ref_table))
     if unscored:
         print(f"not scored, no reference: {', '.join(unscored)}", file=sys.stderr)

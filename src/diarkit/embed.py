@@ -8,13 +8,15 @@ only ever see spectral shape, not loudness.
 A recording is framed once into a table of centred cepstra, one row per
 frame, reading its samples a block at a time through ``read(lo, hi)``,
 from an AudioBuffer or an open WavSource alike, with one thread per
-usable core framing its share of the blocks. Deltas are a regression
-over the cepstra two frames either side, so a segment's delta and
-delta-delta rows are rebuilt from the cepstral rows around it when it is
-pooled; no table holds them for the whole recording. The cepstra are
-the orthonormal DCT-II of the log-mel energies, computed by a numpy port
-of pocketfft's (``_dct_ii``), bit for bit with ``scipy.fft.dct``, so
-the front end, like every command, runs without scipy.
+usable core framing its share of the blocks in buffers it allocates
+once. The mel bands stop at half the rate or 8 kHz, whichever is lower.
+Deltas are a regression over the cepstra two frames either side, so a
+segment's delta and delta-delta rows are rebuilt from the cepstral rows
+around it when it is pooled; no table holds them for the whole
+recording. The cepstra are the orthonormal DCT-II of the log-mel
+energies, computed by a numpy port of pocketfft's (``_dct_ii``), bit for
+bit with ``scipy.fft.dct``, so the front end, like every command, runs
+without scipy.
 
 A recording's vectors are one float64 (segments, dim) matrix, rows in
 segment order; external vectors (any dimension) enter as the small
@@ -48,11 +50,12 @@ from .vad import _BLOCK_FRAMES, Segment, _frame_and_hop, _frame_blocks
 _PRE_EMPHASIS = 0.97
 _MIN_NFFT = 512
 _LOG_FLOOR = 1e-30
-# MFCC frames per block, each worker's scratch sized to one. Past one
+# MFCC frames per block, each worker's block buffers sized to one. Past one
 # block every block holds at least half this many rows, far above the few
 # rows at which BLAS changes path.
 _MFCC_BLOCK = 256
 _DELTA_SPAN = 2  # a delta regresses over this many frames either side
+_MEL_TOP_HZ = 8000.0  # mel bands stop here (HTK's HIFREQ): 48 kHz gets 16 kHz's bands
 
 
 def _hz_to_mel(f):
@@ -64,7 +67,7 @@ def _mel_to_hz(m):
 
 
 def _mel_filterbank(n_mels: int, nfft: int, rate: int) -> np.ndarray:
-    edges = _mel_to_hz(np.linspace(0.0, _hz_to_mel(rate / 2.0), n_mels + 2))
+    edges = _mel_to_hz(np.linspace(0.0, _hz_to_mel(min(rate / 2.0, _MEL_TOP_HZ)), n_mels + 2))
     freqs = np.arange(nfft // 2 + 1) * (rate / nfft)
     lo, center, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
     rising = (freqs[None, :] - lo) / (center - lo)
@@ -217,17 +220,21 @@ def _buffer_features(
     leading columns of a zero-padded FFT input and transformed to rows of
     the preallocated cepstra table. One worker runs per usable core: the
     calling thread takes every ``workers``-th block from the first and
-    pool threads the others, each block writing only its own rows. A
-    block's numpy, FFT and BLAS calls release the GIL.
+    pool threads the others, each block writing only its own rows into
+    buffers its worker allocates once. A block's numpy, FFT and BLAS
+    calls release the GIL.
 
     The cepstral mean is taken over the whole buffer, once every worker
     has joined, so features of a segment depend on the recording it came
     from but not on where the segment boundaries fall.
 
-    Raises ValueError when the frame or hop is shorter than one sample.
+    Raises ValueError when the frame is shorter than two samples or the
+    hop shorter than one.
     """
     rate = buf.sample_rate_hz
     frame, hop = _frame_and_hop(rate, frame_ms, hop_ms)
+    if frame < 2:  # the Hamming window divides by frame - 1
+        raise ValueError(f"frame_ms {frame_ms} spans {frame} sample at {rate} Hz; MFCC needs 2")
     starts = _frame_starts(len(buf), frame, hop)
     if len(starts) == 0:
         return starts, np.zeros((0, n_coeffs))
@@ -242,23 +249,15 @@ def _buffer_features(
     rows = min(len(starts), _MFCC_BLOCK)
     dct = _dct_ii(n_mels, n_coeffs)
 
-    def scratch():
-        # (zero-padded FFT input, spectrum, power, mel, samples, pre-emphasis
-        # product), allocated here in the calling thread and reused for
-        # every block of one worker: allocated per block, or inside a pool
-        # thread's own heap arena, they fault in fresh pages again.
+    def run(share):
+        # This worker's block buffers, reused for each of its blocks.
         # Columns of the FFT input past ``frame`` stay zero.
         n_samples = (rows - 1) * hop + frame + 1
-        return (
-            np.zeros((rows, nfft)),
-            np.empty((rows, nfft // 2 + 1), dtype=np.complex128),
-            np.empty((rows, nfft // 2 + 1)),
-            np.empty((rows, n_mels)),
-            np.empty(n_samples),
-            np.empty(n_samples - 1),
-        )
-
-    def run(share, padded, spectrum, power, mel, samples, product):
+        padded = np.zeros((rows, nfft))
+        spectrum = np.empty((rows, nfft // 2 + 1), dtype=np.complex128)
+        power = np.empty((rows, nfft // 2 + 1))
+        mel = np.empty((rows, n_mels))
+        samples, product = np.empty(n_samples), np.empty(n_samples - 1)
         for lo, hi in share:
             first, end = int(starts[lo]), int(starts[hi - 1]) + frame
             start = max(first - 1, 0)
@@ -276,13 +275,12 @@ def _buffer_features(
             np.log(np.maximum(logmel, _LOG_FLOOR, out=logmel), out=logmel)
             cepstra[lo:hi] = dct(logmel)
 
-    shares = [(blocks[i::workers], *scratch()) for i in range(workers)]
     if workers == 1:
-        run(*shares[0])
+        run(blocks)
     else:
         with ThreadPoolExecutor(workers - 1) as pool:
-            futures = [pool.submit(run, *share) for share in shares[1:]]
-            run(*shares[0])
+            futures = [pool.submit(run, blocks[i::workers]) for i in range(1, workers)]
+            run(blocks[::workers])
             for f in futures:
                 f.result()
     cepstra -= np.mean(cepstra, axis=0, keepdims=True)

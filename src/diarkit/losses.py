@@ -3,7 +3,8 @@
 CTC runs entirely in the log domain over the blank-augmented label
 sequence (blank fixed at index 0), with gradients from the
 forward-backward recursion rather than autodiff, so they can be checked
-against finite differences and exhaustive path enumeration.
+against finite differences and exhaustive path enumeration. Both
+passes run one recursion, the backward one on the reversed lattice.
 """
 
 from __future__ import annotations
@@ -78,6 +79,28 @@ def _min_frames(labels) -> int:
     return len(labels) + repeats
 
 
+def _paths_into(emit: np.ndarray, ext: np.ndarray) -> np.ndarray:
+    """Log-sum over lattice paths into each state before frame t's emission.
+
+    ``emit[t, s]`` is frame t's log-probability of ``ext[s]``. Paths start
+    in state 0 or 1 (0.0 on frame 0), then stay, step to s + 1, or skip to
+    s + 2 onto a different non-blank label. Alpha is this plus ``emit``;
+    beta is this on the time- and state-reversed lattice.
+    """
+    t_len, s_len = emit.shape
+    prev2 = np.concatenate([[-1, -1], ext])[:s_len]
+    can_skip = (ext != 0) & (ext != prev2)
+    into = np.full((t_len, s_len), _NEG_INF)
+    into[0, :2] = 0.0
+    for t in range(1, t_len):
+        prev = into[t - 1] + emit[t - 1]
+        step = np.concatenate([[_NEG_INF], prev])[:s_len]
+        skip = np.concatenate([[_NEG_INF, _NEG_INF], prev])[:s_len]
+        cand = np.logaddexp(prev, step)
+        into[t] = np.where(can_skip, np.logaddexp(cand, skip), cand)
+    return into
+
+
 def _ctc_forward_backward(log_probs: np.ndarray, labels) -> tuple[float, np.ndarray]:
     """CTC loss and gradient without the normalization guard.
 
@@ -87,7 +110,6 @@ def _ctc_forward_backward(log_probs: np.ndarray, labels) -> tuple[float, np.ndar
     lp = np.asarray(log_probs, dtype=np.float64)
     t_len, n_classes = lp.shape
     ext = _extended_labels(labels, n_classes)
-    s_len = ext.size
 
     need = _min_frames(labels)
     if t_len < need:
@@ -96,41 +118,13 @@ def _ctc_forward_backward(log_probs: np.ndarray, labels) -> tuple[float, np.ndar
             f"(minimum {need})"
         )
 
-    # s -> s+2 skips are allowed only onto a different non-blank label.
-    prev2 = np.concatenate([[-1, -1], ext])[:s_len]
-    can_skip = (ext != 0) & (ext != prev2)
-
-    alpha = np.full((t_len, s_len), _NEG_INF)
-    alpha[0, 0] = lp[0, ext[0]]
-    if s_len > 1:
-        alpha[0, 1] = lp[0, ext[1]]
-    for t in range(1, t_len):
-        prev = alpha[t - 1]
-        stay = prev
-        step = np.concatenate([[_NEG_INF], prev])[:s_len]
-        skip = np.concatenate([[_NEG_INF, _NEG_INF], prev])[:s_len]
-        cand = np.logaddexp(stay, step)
-        cand = np.where(can_skip, np.logaddexp(cand, skip), cand)
-        alpha[t] = cand + lp[t, ext]
-
+    emit = lp[:, ext]
+    alpha = _paths_into(emit, ext) + emit
+    beta = _paths_into(emit[::-1, ::-1], ext[::-1])[::-1, ::-1]
     tail = alpha[-1, -1]
-    if s_len > 1:
+    if ext.size > 1:
         tail = np.logaddexp(tail, alpha[-1, -2])
     log_total = float(tail)
-
-    beta = np.full((t_len, s_len), _NEG_INF)
-    beta[-1, -1] = 0.0
-    if s_len > 1:
-        beta[-1, -2] = 0.0
-    # can_skip shifted to ask whether s may jump to s+2.
-    fwd_skip = np.concatenate([can_skip[2:], [False, False]])[:s_len]
-    for t in range(t_len - 2, -1, -1):
-        nxt = beta[t + 1] + lp[t + 1, ext]
-        stay = nxt
-        step = np.concatenate([nxt[1:], [_NEG_INF]])[:s_len]
-        skip = np.concatenate([nxt[2:], [_NEG_INF, _NEG_INF]])[:s_len]
-        cand = np.logaddexp(stay, step)
-        beta[t] = np.where(fwd_skip, np.logaddexp(cand, skip), cand)
 
     posterior = np.exp(alpha + beta - log_total)
     grad = np.zeros_like(lp)

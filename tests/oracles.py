@@ -200,6 +200,62 @@ def ctc_paths_oracle(log_probs, labels):
     return -np.log(total) if total > 0.0 else np.inf
 
 
+def ctc_forward_backward_oracle(log_probs, labels):
+    """CTC loss and lattice gradient from two mirrored loops.
+
+    ``_ctc_forward_backward`` as it stood before the backward pass became
+    the forward recursion on the reversed lattice: a forward loop for
+    alpha and a separate backward loop for beta, each with its own skip
+    mask. Kept verbatim as the bit-exact reference.
+    """
+    lp = np.asarray(log_probs, dtype=np.float64)
+    t_len = lp.shape[0]
+    ext = np.zeros(2 * len(labels) + 1, dtype=np.int64)
+    ext[1::2] = labels
+    s_len = ext.size
+    neg_inf = -np.inf
+
+    prev2 = np.concatenate([[-1, -1], ext])[:s_len]
+    can_skip = (ext != 0) & (ext != prev2)
+
+    alpha = np.full((t_len, s_len), neg_inf)
+    alpha[0, 0] = lp[0, ext[0]]
+    if s_len > 1:
+        alpha[0, 1] = lp[0, ext[1]]
+    for t in range(1, t_len):
+        prev = alpha[t - 1]
+        stay = prev
+        step = np.concatenate([[neg_inf], prev])[:s_len]
+        skip = np.concatenate([[neg_inf, neg_inf], prev])[:s_len]
+        cand = np.logaddexp(stay, step)
+        cand = np.where(can_skip, np.logaddexp(cand, skip), cand)
+        alpha[t] = cand + lp[t, ext]
+
+    tail = alpha[-1, -1]
+    if s_len > 1:
+        tail = np.logaddexp(tail, alpha[-1, -2])
+    log_total = float(tail)
+
+    beta = np.full((t_len, s_len), neg_inf)
+    beta[-1, -1] = 0.0
+    if s_len > 1:
+        beta[-1, -2] = 0.0
+    fwd_skip = np.concatenate([can_skip[2:], [False, False]])[:s_len]
+    for t in range(t_len - 2, -1, -1):
+        nxt = beta[t + 1] + lp[t + 1, ext]
+        stay = nxt
+        step = np.concatenate([nxt[1:], [neg_inf]])[:s_len]
+        skip = np.concatenate([nxt[2:], [neg_inf, neg_inf]])[:s_len]
+        cand = np.logaddexp(stay, step)
+        beta[t] = np.where(fwd_skip, np.logaddexp(cand, skip), cand)
+
+    posterior = np.exp(alpha + beta - log_total)
+    grad = np.zeros_like(lp)
+    for s, v in enumerate(ext):
+        grad[:, v] -= posterior[:, s]
+    return -log_total, grad
+
+
 def finite_difference_grad(fn, x, h=1e-5):
     """Central-difference gradient of a scalar function, element by element."""
     x = np.asarray(x, dtype=np.float64)

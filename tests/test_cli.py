@@ -32,7 +32,7 @@ from diarkit.cli import (
     embed_segments,
     main,
 )
-from diarkit.corpus import CorpusManifest, generate_mixture
+from diarkit.corpus import CorpusManifest, generate_mixture, split_counts
 from diarkit.errors import RttmParseError
 from diarkit.embed import MfccEmbedder, load_external_embeddings, write_embeddings
 from diarkit.pipeline import training_arrays
@@ -159,6 +159,20 @@ def test_a_frame_or_hop_shorter_than_one_sample_exits_4(tmp_path, mixture_wav, c
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_an_mfcc_frame_of_one_sample_exits_4_naming_frame_ms(tmp_path, mixture_wav, capsys):
+    # 0.07 ms rounds to one sample at 16 kHz, where the Hamming window
+    # would divide by frame - 1 = 0.
+    cfg = tmp_path / "one.json"
+    cfg.write_text(json.dumps({"embed": {"frame_ms": 0.07}}))
+    out = tmp_path / "out.rttm"
+    argv = ["diarize", str(mixture_wav), "--num-speakers", "2", "--config", str(cfg)]
+    assert main(argv + ["--out-rttm", str(out)]) == EXIT_VALIDATION
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: frame_ms 0.07 ")
+    assert "finite" not in err
+
+
 def test_unmatched_reference_exits_3_and_names_it(tmp_path, capsys):
     ref_dir, hyp_dir = tmp_path / "ref", tmp_path / "hyp"
     ref_dir.mkdir()
@@ -170,6 +184,17 @@ def test_unmatched_reference_exits_3_and_names_it(tmp_path, capsys):
     rc = main(["evaluate", "--ref", str(ref_dir), "--hyp", str(hyp_dir)])
     assert rc == EXIT_PAIRING
     assert "b" in capsys.readouterr().err
+
+
+def test_unmatched_reference_exits_3_and_lists_the_hypothesis_ids(tmp_path, capsys):
+    # diarize x.wav names its turns x; generate_mixture names its reference mix.
+    ref, hyp = tmp_path / "mix.rttm", tmp_path / "x.rttm"
+    ref.write_text(emit_rttm([Turn("mix", "s0", 0.0, 1.0)]))
+    hyp.write_text(emit_rttm([Turn("x", "s0", 0.0, 1.0)]))
+    assert main(["evaluate", "--ref", str(ref), "--hyp", str(hyp)]) == EXIT_PAIRING
+    err = capsys.readouterr().err
+    assert "no hypothesis for file_id(s): mix;" in err
+    assert err.rstrip().endswith("the hypothesis holds file_id(s): x")
 
 
 # --- evaluate ---
@@ -433,6 +458,25 @@ def test_corpus_seed_env_fallback(tmp_path, monkeypatch, capsys):
     env_wav = next((tmp_path / "env").glob("1/*.wav"))
     flag_wav = next((tmp_path / "flag").glob("1/*.wav"))
     assert env_wav.read_bytes() == flag_wav.read_bytes()
+
+
+def test_corpus_split_apportions_each_folder_by_split_counts(tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = ["corpus", str(out), "--layout", "1:5,2:4", "--split", "0.4,0.4,0.2", "--seed", "3"]
+    assert main(argv) == EXIT_OK
+    manifest = CorpusManifest.load(out / "manifest.json")
+    for folder, total in ((1, 5), (2, 4)):
+        parts = [e.split for e in manifest.entries if e.folder == folder]
+        counts = tuple(parts.count(p) for p in ("train", "val", "test"))
+        assert counts == split_counts(total, (0.4, 0.4, 0.2))
+
+
+@pytest.mark.parametrize("split", ["0.5,0.5", "0.5,0.3,0.3"])
+def test_corpus_bad_split_exits_4_and_writes_nothing(tmp_path, capsys, split):
+    out = tmp_path / "out"
+    assert main(["corpus", str(out), "--layout", "1:2", "--split", split]) == EXIT_VALIDATION
+    assert "split" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("overlap", ["0.5", "nan"])

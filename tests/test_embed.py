@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from diarkit.audio_io import AudioBuffer
+from diarkit.audio_io import AudioBuffer, resample
+from diarkit.corpus import generate_mixture
 from diarkit.embed import (
     MfccEmbedder,
     _dct_ii,
+    _hz_to_mel,
+    _mel_filterbank,
+    _mel_to_hz,
     _pooled_vector,
     load_external_embeddings,
     write_embeddings,
@@ -19,6 +23,7 @@ from diarkit.errors import (
     TooShort,
     TruncatedFile,
 )
+from diarkit.pipeline import PipelineConfig, diarize_buffer
 from diarkit.vad import Segment
 
 from conftest import tone, white
@@ -225,6 +230,27 @@ def test_dct_equals_scipy_bit_for_bit_on_every_length_and_column_count():
             for rows in (37, 5):
                 got = transform(x[:rows])
                 assert np.array_equal(got.view(np.uint64), want[:rows, 1 : count + 1]), (n, count)
+
+
+@pytest.mark.parametrize("rate", [8000, 16000, 48000])
+def test_mel_bands_stop_at_8_khz_and_are_unchanged_up_to_16_khz(rate):
+    # The bank as it stood before the cap: bands spread up to half the rate.
+    edges = _mel_to_hz(np.linspace(0.0, _hz_to_mel(rate / 2.0), 42))
+    freqs = np.arange(257) * (rate / 512)
+    lo, center, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
+    rising = (freqs[None, :] - lo) / (center - lo)
+    uncapped = np.maximum(0.0, np.minimum(rising, (hi - freqs[None, :]) / (hi - center)))
+    bank = _mel_filterbank(40, 512, rate)
+    assert np.array_equal(bank, uncapped) == (rate <= 16000)
+    assert not bank[:, freqs > 8001.0].any()  # the 8 kHz bin may hold 1e-15 of residue
+    assert bank[-1].any()
+
+
+def test_a_48_khz_mixture_gets_its_16_khz_speaker_count_under_the_threshold_stop():
+    buf, _ = generate_mixture(4, 120.0, seed=0)
+    for b in (buf, resample(buf, 48000)):
+        result = diarize_buffer(b, PipelineConfig(), file_id="mix")
+        assert len({t.speaker_id for t in result.turns}) == 4, b.sample_rate_hz
 
 
 # --- embedding-matrix file format ---

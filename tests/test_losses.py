@@ -30,7 +30,7 @@ from diarkit.losses import (
     train_toy,
 )
 
-from oracles import ctc_paths_oracle, finite_difference_grad
+from oracles import ctc_forward_backward_oracle, ctc_paths_oracle, finite_difference_grad
 
 
 def log_softmax(z):
@@ -127,6 +127,29 @@ class TestCtcLoss:
             )
             scale = max(1.0, float(np.abs(fd).max()))
             assert np.abs(fd - grad).max() / scale < 1e-4
+
+    def test_loss_and_gradient_equal_the_two_loop_recursion_bit_for_bit(self):
+        # Repeated labels, empty targets, T = 1 and impossible alignments
+        # (an infinite loss, whose gradient is NaN on both sides).
+        rng = np.random.default_rng(31)
+        seen = set()
+        for _ in range(600):
+            n_classes = int(rng.integers(2, 6))
+            labels = rng.integers(1, n_classes, size=int(rng.integers(0, 5))).tolist()
+            need = len(labels) + sum(1 for a, b in zip(labels, labels[1:]) if a == b)
+            t_len = int(rng.integers(max(need, 1), 12))
+            lp = rng.normal(size=(t_len, n_classes))
+            if rng.random() < 0.3:
+                lp[rng.random(lp.shape) < 0.3] = -np.inf
+            with np.errstate(invalid="ignore"):
+                loss, grad = _ctc_forward_backward(lp, labels)
+                want_loss, want_grad = ctc_forward_backward_oracle(lp, labels)
+            assert np.array_equal(loss, want_loss)
+            assert np.array_equal(grad, want_grad, equal_nan=True)
+            seen.add((t_len == 1, len(labels) == 0, len(set(labels)) < len(labels)))
+            seen.add(("impossible", bool(np.isinf(loss))))
+        assert {(True, True, False), (False, True, False), (False, False, True)} <= seen
+        assert ("impossible", True) in seen
 
     def test_posterior_rows_sum_to_one(self):
         lp = log_softmax(np.random.default_rng(3).normal(size=(6, 4)))
