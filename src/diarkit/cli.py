@@ -70,8 +70,16 @@ def _parse_layout(text: str) -> dict[int, int]:
     layout = {}
     for part in text.split(","):
         folder, _, count = part.partition(":")
+        if int(folder) in layout:
+            raise ValueError(f"--layout names folder {int(folder)} twice")
         layout[int(folder)] = int(count)
     return layout
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def _parse_split(text: str) -> tuple[float, float, float]:
@@ -124,6 +132,7 @@ def cmd_diarize(args) -> int:
             raise ValueError(f"{flag} applies to {'single-file' if batch else 'manifest'} input only")
     if batch:
         manifest = CorpusManifest.load(in_path)
+        _by_stem((e.path for e in manifest.entries), "manifest entries")
         out_dir = Path(args.out_dir or (in_path.parent / "hyp"))
         out_dir.mkdir(parents=True, exist_ok=True)
         root = in_path.parent
@@ -135,7 +144,7 @@ def cmd_diarize(args) -> int:
             except Exception as exc:  # collected, reported, non-fatal
                 return entry.path, fid, None, exc
 
-        with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
             results = list(pool.map(work, manifest.entries))
         failures = []
         for path, fid, rttm, exc in sorted(results, key=lambda r: r[1]):
@@ -159,6 +168,16 @@ def cmd_diarize(args) -> int:
     return EXIT_OK
 
 
+def _by_stem(paths, kind: str) -> dict[str, Path]:
+    """Each path keyed by its stem; PairingError names both paths of a repeated stem."""
+    found: dict[str, Path] = {}
+    for f in map(Path, paths):
+        if f.stem in found:
+            raise PairingError(f"two {kind} with stem {f.stem!r}: {found[f.stem]} and {f}")
+        found[f.stem] = f
+    return found
+
+
 def _collect_rttms(path: Path, skip: tuple[Path, ...] = ()) -> dict[str, TurnColumns]:
     """Pairing table: directory inputs key by RTTM stem, single files by
     the file_id column (one RTTM may describe several recordings).
@@ -169,16 +188,10 @@ def _collect_rttms(path: Path, skip: tuple[Path, ...] = ()) -> dict[str, TurnCol
     if not path.is_dir():
         cols = rttm_columns(path.read_text(encoding="utf-8"))
         return cols.by_file() if cols.file_id else {path.stem: cols}
-    table: dict[str, TurnColumns] = {}
-    found: dict[str, Path] = {}
-    for f in sorted(path.glob("**/*.rttm")):
-        if any(f.resolve().is_relative_to(s) for s in skip):
-            continue
-        if f.stem in found:
-            raise PairingError(f"two RTTMs with stem {f.stem!r}: {found[f.stem]} and {f}")
-        found[f.stem] = f
-        table[f.stem] = rttm_columns(f.read_text(encoding="utf-8"))
-    return table
+    walk = sorted(path.glob("**/*.rttm"))
+    kept = [f for f in walk if not any(f.resolve().is_relative_to(s) for s in skip)]
+    found = _by_stem(kept, "RTTMs")
+    return {stem: rttm_columns(f.read_text(encoding="utf-8")) for stem, f in found.items()}
 
 
 def cmd_evaluate(args) -> int:
@@ -309,12 +322,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config")
     p.add_argument("--out-rttm")
     p.add_argument("--out-dir")
-    p.add_argument("--num-speakers", type=int, default=None)
-    p.add_argument("--threshold", type=float, default=None)
+    stop = p.add_mutually_exclusive_group()
+    stop.add_argument("--num-speakers", type=int, default=None)
+    stop.add_argument("--threshold", type=float, default=None)
     p.add_argument("--denoise", action="store_true")
     p.add_argument("--embeddings", help="use this embedding file instead of MFCC")
     p.add_argument("--export-embeddings")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.set_defaults(func=cmd_diarize)
 
     p = sub.add_parser("evaluate", help="score hypothesis RTTM against reference")

@@ -5,18 +5,19 @@ statistics. Dropping the zeroth cepstrum and subtracting the cepstral
 mean make the vectors insensitive to overall gain, so clustering can
 only ever see spectral shape, not loudness.
 
-A recording is framed once into a table of centred cepstra, one row per
-frame, reading its samples a block at a time through ``read(lo, hi)``,
-from an AudioBuffer or an open WavSource alike, with one thread per
-usable core framing its share of the blocks in buffers it allocates
-once. The mel bands stop at half the rate or 8 kHz, whichever is lower.
-Deltas are a regression over the cepstra two frames either side, so a
-segment's delta and delta-delta rows are rebuilt from the cepstral rows
-around it when it is pooled; no table holds them for the whole
-recording. The cepstra are the orthonormal DCT-II of the log-mel
-energies, computed by a numpy port of pocketfft's (``_dct_ii``), bit for
-bit with ``scipy.fft.dct``, so the front end, like every command, runs
-without scipy.
+A recording is framed once into a table of centred cepstra, row i for
+the frame at sample ``i * hop``, so a segment's rows follow from its
+bounds by arithmetic. Samples are read a block at a time through
+``read(lo, hi)``, from an AudioBuffer or an open WavSource alike, with
+one thread per usable core framing its share of the blocks in buffers
+it allocates once. The mel bands stop at half the rate or 8 kHz,
+whichever is lower. Deltas are a regression over the cepstra two frames
+either side, so a segment's delta and delta-delta rows are rebuilt from
+the cepstral rows around it when it is pooled; no table holds them for
+the whole recording. The cepstra are the orthonormal DCT-II of the
+log-mel energies, computed by a numpy port of pocketfft's (``_dct_ii``),
+bit for bit with ``scipy.fft.dct``, so the front end, like every
+command, runs without scipy.
 
 A recording's vectors are one float64 (segments, dim) matrix, rows in
 segment order; external vectors (any dimension) enter as the small
@@ -39,13 +40,12 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .audio_io import AudioBuffer, WavSource, _usable_cores
 from .errors import (
     CorruptHeader,
-    DimMismatch,
     SegmentOutOfRange,
     TooFewFrames,
     TooShort,
     TruncatedFile,
 )
-from .vad import _BLOCK_FRAMES, Segment, _frame_and_hop, _frame_blocks
+from .vad import Segment, _frame_and_hop, _frame_blocks
 
 _PRE_EMPHASIS = 0.97
 _MIN_NFFT = 512
@@ -75,28 +75,17 @@ def _mel_filterbank(n_mels: int, nfft: int, rate: int) -> np.ndarray:
     return np.maximum(0.0, np.minimum(rising, falling))
 
 
-def _deltas(
-    c: np.ndarray, *, out: np.ndarray, lo: int = 0, hi: int | None = None
-) -> np.ndarray:
-    """Rows [lo, hi) of the regression deltas of ``c``, written into ``out``.
+def _deltas(c: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows [lo, hi) of the regression deltas of ``c``.
 
     Frames past either end of ``c`` repeat its first or last row (edge
-    padding). Rows are read a block at a time through indices clamped to
-    the first and last frame, so no padded copy of ``c`` is made. Each row
-    is computed alone, so a row range equals those rows of the whole table.
+    padding), read through indices clamped to the first and last frame,
+    so no padded copy of ``c`` is made. Each row is computed alone, so a
+    row range equals those rows of the whole table.
     """
-    m = len(c)
-    hi = m if hi is None else hi
-    term = np.empty((min(hi - lo, _BLOCK_FRAMES), c.shape[1]))
-    for a, b in _frame_blocks(hi - lo):
-        rows, o, t = np.arange(lo + a, lo + b), out[a:b], term[: b - a]
-        o[...] = 0.0
-        for k in range(1, _DELTA_SPAN + 1):
-            np.subtract(c[np.minimum(rows + k, m - 1)], c[np.maximum(rows - k, 0)], out=t)
-            t *= k
-            o += t
-        o /= 2.0 * sum(k * k for k in range(1, _DELTA_SPAN + 1))
-    return out
+    rows, last, span = np.arange(lo, hi), len(c) - 1, range(1, _DELTA_SPAN + 1)
+    num = sum(k * (c[np.minimum(rows + k, last)] - c[np.maximum(rows - k, 0)]) for k in span)
+    return num / (2.0 * sum(k * k for k in span))
 
 
 def _feature_rows(
@@ -112,16 +101,14 @@ def _feature_rows(
     """
     m, n = cepstra.shape
     width = 3 * n if width is None else width
-    out = np.empty((hi - lo, 3 * n))
-    out[:, :n] = cepstra[lo:hi]
+    parts = [cepstra[lo:hi]]
     if width > 2 * n:
         a, b = max(lo - _DELTA_SPAN, 0), min(hi + _DELTA_SPAN, m)
-        d1 = _deltas(cepstra, out=np.empty((b - a, n)), lo=a, hi=b)
-        out[:, n : 2 * n] = d1[lo - a : hi - a]
-        _deltas(d1, out=out[:, 2 * n :], lo=lo - a, hi=hi - a)
+        d1 = _deltas(cepstra, a, b)
+        parts += [d1[lo - a : hi - a], _deltas(d1, lo - a, hi - a)]
     elif width > n:
-        _deltas(cepstra, out=out[:, n : 2 * n], lo=lo, hi=hi)
-    return out[:, :width]
+        parts.append(_deltas(cepstra, lo, hi))
+    return np.concatenate(parts, axis=1)[:, :width]
 
 
 def _dct_twiddles(n: int) -> np.ndarray:
@@ -202,17 +189,11 @@ def _dct_ii(n: int, count: int) -> Callable[[np.ndarray], np.ndarray]:
     return transform
 
 
-def _frame_starts(n_samples: int, frame: int, hop: int) -> np.ndarray:
-    if n_samples < frame:
-        return np.zeros(0, dtype=np.int64)
-    return np.arange(0, n_samples - frame + 1, hop, dtype=np.int64)
-
-
 def _buffer_features(
     buf: AudioBuffer | WavSource, n_mels: int, n_coeffs: int, frame_ms: float, hop_ms: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Frame starts and centred cepstra, (n_frames, n_coeffs), of every
-    full frame of the buffer; ``_feature_rows`` adds the deltas.
+) -> np.ndarray:
+    """Centred cepstra, (n_frames, n_coeffs), of the buffer's full frames,
+    frame i starting at sample ``i * hop``; ``_feature_rows`` adds deltas.
 
     Frames are read in blocks of ``_MFCC_BLOCK``: each block's samples,
     with one sample of history, are read once through ``buf.read`` into a
@@ -235,18 +216,18 @@ def _buffer_features(
     frame, hop = _frame_and_hop(rate, frame_ms, hop_ms)
     if frame < 2:  # the Hamming window divides by frame - 1
         raise ValueError(f"frame_ms {frame_ms} spans {frame} sample at {rate} Hz; MFCC needs 2")
-    starts = _frame_starts(len(buf), frame, hop)
-    if len(starts) == 0:
-        return starts, np.zeros((0, n_coeffs))
+    n_frames = max((len(buf) - frame) // hop + 1, 0)
+    if n_frames == 0:
+        return np.zeros((0, n_coeffs))
 
     window = 0.54 - 0.46 * np.cos(2.0 * np.pi * np.arange(frame) / (frame - 1))
     # Zero-pad to a power of two; a frame longer than _MIN_NFFT is never cropped.
     nfft = max(_MIN_NFFT, 1 << (frame - 1).bit_length())
     fb_t = _mel_filterbank(n_mels, nfft, rate).T
-    cepstra = np.empty((len(starts), n_coeffs))
-    blocks = list(_frame_blocks(len(starts), _MFCC_BLOCK))
+    cepstra = np.empty((n_frames, n_coeffs))
+    blocks = list(_frame_blocks(n_frames, _MFCC_BLOCK))
     workers = min(_usable_cores(), len(blocks))
-    rows = min(len(starts), _MFCC_BLOCK)
+    rows = min(n_frames, _MFCC_BLOCK)
     dct = _dct_ii(n_mels, n_coeffs)
 
     def run(share):
@@ -259,7 +240,7 @@ def _buffer_features(
         mel = np.empty((rows, n_mels))
         samples, product = np.empty(n_samples), np.empty(n_samples - 1)
         for lo, hi in share:
-            first, end = int(starts[lo]), int(starts[hi - 1]) + frame
+            first, end = lo * hop, (hi - 1) * hop + frame
             start = max(first - 1, 0)
             x = samples[: end - start]
             x[...] = buf.read(start, end)
@@ -284,20 +265,20 @@ def _buffer_features(
             for f in futures:
                 f.result()
     cepstra -= np.mean(cepstra, axis=0, keepdims=True)
-    return starts, cepstra
+    return cepstra
 
 
 def _segment_rows(
-    buf: AudioBuffer | WavSource, segment: Segment, starts: np.ndarray, frame_ms: float
+    buf: AudioBuffer | WavSource, segment: Segment, n_frames: int, frame: int, hop: int
 ) -> tuple[int, int]:
-    """Row range [lo, hi) of the full frames inside ``segment``.
+    """Row range [lo, hi) of the full frames inside ``segment``, frame i
+    starting at sample ``i * hop``.
 
     Raises TooShort when the buffer or the segment holds no full frame
     and SegmentOutOfRange when the segment ends past the buffer.
     """
-    if len(starts) == 0:
+    if n_frames == 0:
         raise TooShort("buffer is shorter than one analysis frame")
-    frame = int(round(buf.sample_rate_hz * frame_ms / 1000.0))
     on = int(round(segment.onset_s * buf.sample_rate_hz))
     off = int(round(segment.offset_s * buf.sample_rate_hz))
     if off > len(buf):
@@ -305,10 +286,8 @@ def _segment_rows(
             f"segment [{segment.onset_s}, {segment.offset_s}] ends past the "
             f"{buf.duration_s:.3f} s buffer"
         )
-    # starts is ascending: rows run from the first start at or after on to
-    # the last start whose frame ends by off.
-    lo = int(np.searchsorted(starts, on, side="left"))
-    hi = int(np.searchsorted(starts, off - frame, side="right"))
+    # From the first frame starting at or after on to the last ending by off.
+    lo, hi = -(-on // hop), (off - frame) // hop + 1
     if hi <= lo:
         raise TooShort(
             f"segment [{segment.onset_s}, {segment.offset_s}] holds no full "
@@ -329,12 +308,11 @@ def _pooled_vector(rows: np.ndarray) -> np.ndarray:
 class MfccEmbedder:
     """Deterministic segment embedder over MFCC statistics.
 
-    Each buffer's frame starts and centred cepstra, (n_frames, n_coeffs),
-    are cached (weakly keyed on the AudioBuffer or WavSource object), so
-    embedding every segment of a recording frames it once. A segment's
-    delta rows, and its delta-delta rows when ``base_dims`` reaches them,
-    are rebuilt from the cepstral rows around it, equal to the rows of the
-    whole-recording feature table.
+    Each buffer's centred cepstra, (n_frames, n_coeffs), are cached
+    (weakly keyed on the AudioBuffer or WavSource object), so embedding
+    every segment of a recording frames it once. A segment's delta rows,
+    and its delta-delta rows when ``base_dims`` reaches them, are rebuilt
+    from the cepstral rows around it, equal to the whole table's rows.
     """
 
     def __init__(
@@ -358,7 +336,7 @@ class MfccEmbedder:
         self.frame_ms = frame_ms
         self.hop_ms = hop_ms
         self.base_dims = base_dims
-        self._cache: weakref.WeakKeyDictionary[AudioBuffer | WavSource, tuple] = (
+        self._cache: weakref.WeakKeyDictionary[AudioBuffer | WavSource, np.ndarray] = (
             weakref.WeakKeyDictionary()
         )
 
@@ -371,13 +349,13 @@ class MfccEmbedder:
         Raises SegmentOutOfRange when the segment ends past the buffer and
         TooShort when it holds no full analysis frame.
         """
-        cached = self._cache.get(buf)
-        if cached is None:
-            cached = self._cache[buf] = _buffer_features(
+        cepstra = self._cache.get(buf)
+        if cepstra is None:
+            cepstra = self._cache[buf] = _buffer_features(
                 buf, self.n_mels, self.n_coeffs, self.frame_ms, self.hop_ms
             )
-        starts, cepstra = cached
-        return _feature_rows(cepstra, *_segment_rows(buf, segment, starts, self.frame_ms), width)
+        frame, hop = _frame_and_hop(buf.sample_rate_hz, self.frame_ms, self.hop_ms)
+        return _feature_rows(cepstra, *_segment_rows(buf, segment, len(cepstra), frame, hop), width)
 
     def embed(self, buf: AudioBuffer | WavSource, segment: Segment) -> np.ndarray:
         """The segment's float64 vector of ``2 * base_dims`` pooled statistics."""
@@ -402,12 +380,11 @@ def write_embeddings(path: str | Path, embeddings) -> None:
         fh.write(matrix.astype("<f4").tobytes(order="C"))
 
 
-def load_external_embeddings(path: str | Path, expected_dim: int | None = None) -> np.ndarray:
+def load_external_embeddings(path: str | Path) -> np.ndarray:
     """Read an embedding file as a float64 (count, dim) matrix, rows in segment order.
 
     Raises CorruptHeader on an unreadable header or trailing bytes,
-    TruncatedFile when rows are missing, DimMismatch when the stated
-    dimension differs from ``expected_dim`` and ValueError on a NaN or
+    TruncatedFile when rows are missing and ValueError on a NaN or
     infinite value.
     """
     with open(path, "rb") as fh:
@@ -417,11 +394,6 @@ def load_external_embeddings(path: str | Path, expected_dim: int | None = None) 
     count, dim = _HEADER.unpack_from(raw)
     if count > 0 and dim == 0:
         raise CorruptHeader(f"{path}: zero dimension with nonzero count")
-    if expected_dim is not None and count > 0 and dim != expected_dim:
-        raise DimMismatch(
-            f"{path}: file dimension {dim} does not match the active "
-            f"run dimension {expected_dim}"
-        )
     need = count * dim * 4
     body = raw[_HEADER.size :]
     if len(body) < need:

@@ -8,7 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -488,6 +488,13 @@ def test_corpus_bad_overlap_exits_4_and_writes_nothing(tmp_path, capsys, overlap
     assert not out.exists()
 
 
+def test_corpus_layout_naming_a_folder_twice_exits_4_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["corpus", str(out), "--layout", "1:1,1:2"]) == EXIT_VALIDATION
+    assert "--layout names folder 1 twice" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_corpus_negative_seed_exits_4_and_writes_nothing(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["corpus", str(out), "--layout", "2:1", "--seed", "-1"]) == EXIT_VALIDATION
@@ -549,6 +556,24 @@ def test_diarize_manifest_reports_a_failed_file_and_writes_the_others(corpus_dir
         single = tmp_path / "single.rttm"
         assert main(["diarize", str(root / f"{stem}.wav"), "--out-rttm", str(single)]) == EXIT_OK
         assert (out_dir / f"{stem[2:]}.rttm").read_bytes() == single.read_bytes()
+
+
+def test_diarize_manifest_with_a_shared_stem_exits_3_before_any_file(
+    corpus_dir, tmp_path, monkeypatch, capsys
+):
+    # a/x.wav and b/x.wav would both write x.rttm, the second over the first.
+    entry = CorpusManifest.load(corpus_dir / "manifest.json").entries[1]
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+        shutil.copy(corpus_dir / entry.path, tmp_path / folder / "x.wav")
+    entries = tuple(replace(entry, path=f"{f}/x.wav") for f in ("a", "b"))
+    CorpusManifest(entries=entries, seed=0).save(tmp_path / "manifest.json")
+    diarized = []
+    monkeypatch.setattr(diarkit.cli, "_diarize_one", lambda *a: diarized.append(a))
+    rc = main(["diarize", str(tmp_path / "manifest.json"), "--out-dir", str(tmp_path / "hyp")])
+    assert rc == EXIT_PAIRING
+    assert "two manifest entries with stem 'x': a/x.wav and b/x.wav" in capsys.readouterr().err
+    assert diarized == [] and not (tmp_path / "hyp").exists()
 
 
 def test_diarize_manifest_parallel_matches_serial(corpus_dir, tmp_path):
@@ -705,6 +730,31 @@ def test_flag_overrides_config_cluster_k(mixture_wav, tmp_path, capsys):
     assert len(_speaker_ids(capsys.readouterr().out)) == 3
     main(["diarize", str(mixture_wav), "--config", str(cfg), "--num-speakers", "2"])
     assert len(_speaker_ids(capsys.readouterr().out)) == 2
+
+
+def test_num_speakers_with_threshold_is_a_usage_error(mixture_wav, tmp_path, capsys):
+    argv = ["diarize", str(mixture_wav), "--num-speakers", "3", "--threshold", "0.4"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert "not allowed with argument" in capsys.readouterr().err
+    # Either flag alone still overrides the config file's stop.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"cluster": {"k": 3}}))
+    # No two cosine distances exceed 2, so this threshold merges every segment.
+    assert main(["diarize", str(mixture_wav), "--config", str(cfg), "--threshold", "2.0"]) == EXIT_OK
+    assert len(_speaker_ids(capsys.readouterr().out)) == 1
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3", "x"])
+def test_diarize_jobs_below_one_is_a_usage_error(corpus_dir, tmp_path, capsys, jobs):
+    out_dir = tmp_path / "hyp"
+    argv = ["diarize", str(corpus_dir / "manifest.json"), "--out-dir", str(out_dir), "--jobs", jobs]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    assert f"argument --jobs: must be an integer >= 1, got {jobs!r}" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_config_sections_map_onto_pipeline_fields():

@@ -17,7 +17,6 @@ from diarkit.embed import (
 )
 from diarkit.errors import (
     CorruptHeader,
-    DimMismatch,
     SegmentOutOfRange,
     TooFewFrames,
     TooShort,
@@ -270,7 +269,7 @@ def test_round_trip_from_stacked_vectors(tmp_path):
     embs = np.stack([np.full(4, float(i)) for i in range(3)])
     path = tmp_path / "emb.bin"
     write_embeddings(path, embs)
-    loaded = load_external_embeddings(path, expected_dim=4)
+    loaded = load_external_embeddings(path)
     assert np.array_equal(loaded[2], np.full(4, 2.0))
 
 
@@ -297,15 +296,6 @@ def test_trailing_bytes_rejected(tmp_path):
     path.write_bytes(path.read_bytes() + b"\x00\x00\x00\x00")
     with pytest.raises(CorruptHeader):
         load_external_embeddings(path)
-
-
-def test_dim_mismatch(tmp_path):
-    path = tmp_path / "emb.bin"
-    write_embeddings(path, np.ones((5, 768), dtype=np.float32))
-    loaded = load_external_embeddings(path, expected_dim=768)
-    assert loaded.shape == (5, 768)
-    with pytest.raises(DimMismatch):
-        load_external_embeddings(path, expected_dim=52)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
