@@ -8,13 +8,14 @@ deterministic under their seed.
 
 from __future__ import annotations
 
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .audio_io import AudioBuffer, Turn, sinc_interp
-from .corpus import RATE, default_profile_pool, synth_utterance
+from .corpus import RATE, _synthesised, default_profile_pool, synth_utterance
 from .errors import SilentInput, check_numbers
 
 _WSOLA_WINDOW = 480  # 30 ms at 16 kHz
@@ -47,27 +48,68 @@ class AugmentSpec:
             raise ValueError("speed_factor outside [0.9, 1.1]")
 
 
-def _babble(n: int, rate: int, rng) -> np.ndarray:
-    """Four time-shifted synthetic voices summed into a murmur."""
+def _voice(profile, duration_s: float, seed: int) -> AudioBuffer:
+    # Looks synth_utterance up in this module at call time, so a rebound
+    # name reaches the voices made in workers as well.
+    return synth_utterance(profile, duration_s, seed=seed)
+
+
+def _babble_plan(n: int, rate: int, rng) -> tuple[list[tuple], list[int]]:
+    """The synth jobs and roll shifts of four voices for an n-sample
+    murmur: the picks, then each voice's seed and shift, drawn in turn."""
     pool = default_profile_pool()
     picks = rng.choice(len(pool), size=4, replace=False)
     duration = max(0.6, n / rate)
-    total = np.zeros(n)
+    jobs, shifts = [], []
     for i in picks:
-        stream = synth_utterance(
-            pool[int(i)], duration, seed=int(rng.integers(0, 2**31))
-        ).samples.astype(np.float64)
+        jobs.append((pool[int(i)], duration, int(rng.integers(0, 2**31))))
+        shifts.append(int(rng.integers(0, n)))
+    return jobs, shifts
+
+
+def _babble_mix(voices, shifts: list[int], n: int, rate: int) -> np.ndarray:
+    """Four time-shifted synthetic voices summed into a murmur."""
+    total = np.zeros(n)
+    for voice, shift in zip(voices, shifts):
+        stream = voice.samples.astype(np.float64)
         if rate != RATE:
             stream = sinc_interp(stream, Fraction(rate, RATE))
         if len(stream) < n:
             stream = np.pad(stream, (0, n - len(stream)))
-        total += np.roll(stream[:n], int(rng.integers(0, n)))
+        total += np.roll(stream[:n], shift)
     return total
+
+
+@contextmanager
+def _noise(n: int, rate: int, kind: str, seed: int):
+    """Yields a function that returns the n noise samples of kind and
+    seed. A babble's voices start on entry, in forked workers once they
+    hold 60 s of speech, so the caller can work until it reads them."""
+    rng = np.random.default_rng(seed)
+    if kind == "white":
+        yield lambda: rng.standard_normal(n)
+        return
+    jobs, shifts = _babble_plan(n, rate, rng)
+    with _synthesised(_voice, jobs) as voices:
+        yield lambda: _babble_mix(voices, shifts, n, rate)
+
+
+def _with_noise(buf: AudioBuffer, intensity: float, noise) -> AudioBuffer:
+    """buf plus ``noise()`` scaled to RMS exactly intensity * RMS(buf)."""
+    x = buf.samples.astype(np.float64)
+    signal_rms = float(np.sqrt(np.mean(x**2)))
+    if signal_rms == 0.0:
+        raise SilentInput("cannot scale noise against a silent buffer")
+    noise = noise()
+    noise *= intensity * signal_rms / max(float(np.sqrt(np.mean(noise**2))), 1e-300)
+    return AudioBuffer(samples=(x + noise).astype(np.float32), sample_rate_hz=buf.sample_rate_hz)
 
 
 def add_noise(buf: AudioBuffer, intensity: float, kind: str = "white", seed: int = 0) -> AudioBuffer:
     """Add noise with RMS exactly intensity * RMS(buf).
 
+    Babble is four synthetic voices, synthesised in forked workers once
+    they hold 60 s of speech; the samples are the same as from one core.
     Raises SilentInput when intensity > 0 on an all-zero buffer.
     """
     if intensity < 0:
@@ -76,17 +118,8 @@ def add_noise(buf: AudioBuffer, intensity: float, kind: str = "white", seed: int
         raise ValueError("kind must be 'white' or 'babble'")
     if intensity == 0:
         return buf
-    x = buf.samples.astype(np.float64)
-    signal_rms = float(np.sqrt(np.mean(x**2)))
-    if signal_rms == 0.0:
-        raise SilentInput("cannot scale noise against a silent buffer")
-    rng = np.random.default_rng(seed)
-    if kind == "white":
-        noise = rng.standard_normal(len(x))
-    else:
-        noise = _babble(len(x), buf.sample_rate_hz, rng)
-    noise *= intensity * signal_rms / max(float(np.sqrt(np.mean(noise**2))), 1e-300)
-    return AudioBuffer(samples=(x + noise).astype(np.float32), sample_rate_hz=buf.sample_rate_hz)
+    with _noise(len(buf), buf.sample_rate_hz, kind, seed) as noise:
+        return _with_noise(buf, intensity, noise)
 
 
 def speed_change(buf: AudioBuffer, factor: float) -> AudioBuffer:
@@ -152,21 +185,36 @@ def pitch_shift(buf: AudioBuffer, semitones: float) -> AudioBuffer:
     return AudioBuffer(samples=stretched.astype(np.float32), sample_rate_hz=buf.sample_rate_hz)
 
 
-def augment_file(buf: AudioBuffer, spec: AugmentSpec) -> AudioBuffer:
-    """Apply speed, then pitch, then noise.
+def augment_stages(buf: AudioBuffer, spec: AugmentSpec) -> tuple[AudioBuffer, AudioBuffer]:
+    """(buf after speed and pitch, that stage with the noise added): the
+    noise-free SNR reference and the augmented output.
 
-    Callers holding reference Turns must rescale their timestamps by
-    1/speed_factor (see rescale_turns); pitch and noise leave time
-    untouched.
+    Pitch keeps the length, so the noise is planned once speed has run,
+    and a babble's voices are synthesised while pitch runs.
     """
-    out = buf
+    staged = buf
     if spec.speed_factor != 1.0:
-        out = speed_change(out, spec.speed_factor)
-    if spec.pitch_semitones != 0.0:
-        out = pitch_shift(out, spec.pitch_semitones)
+        staged = speed_change(staged, spec.speed_factor)
+    planned = nullcontext()
     if spec.noise_intensity > 0.0:
-        out = add_noise(out, spec.noise_intensity, spec.noise_kind, seed=spec.rng_seed)
-    return out
+        planned = _noise(len(staged), buf.sample_rate_hz, spec.noise_kind, spec.rng_seed)
+    with planned as noise:
+        if spec.pitch_semitones != 0.0:
+            staged = pitch_shift(staged, spec.pitch_semitones)
+        if noise is None:
+            return staged, staged
+        return staged, _with_noise(staged, spec.noise_intensity, noise)
+
+
+def augment_file(buf: AudioBuffer, spec: AugmentSpec) -> AudioBuffer:
+    """Apply speed, then pitch, then noise, as add_noise adds it.
+
+    A babble's voices are synthesised while pitch runs, in forked workers
+    once they hold 60 s of speech. Callers holding reference Turns must
+    rescale their timestamps by 1/speed_factor (see rescale_turns); pitch
+    and noise leave time untouched.
+    """
+    return augment_stages(buf, spec)[1]
 
 
 def rescale_turns(turns: list[Turn], speed_factor: float) -> list[Turn]:

@@ -21,7 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .audio_io import TurnColumns, WavSource, emit_rttm, parse_rttm, read_wav, rttm_columns, write_wav
-from .augment import AugmentSpec, add_noise, augment_file, rescale_turns
+from .augment import AugmentSpec, augment_stages, rescale_turns
 from .corpus import DEFAULT_LAYOUT, DEFAULT_SPLIT, CorpusManifest, generate_dataset
 from .embed import load_external_embeddings, write_embeddings
 from .errors import DiarkitError, IoError
@@ -50,7 +50,11 @@ class PairingError(DiarkitError, ValueError):
 def _env_seed(flag_value: int | None) -> int:
     if flag_value is not None:
         return flag_value
-    return int(os.environ.get("DIARKIT_SEED", "0"))
+    text = os.environ.get("DIARKIT_SEED", "0")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"DIARKIT_SEED must be an integer, got {text!r}") from None
 
 
 def _load_config(path: str | None) -> PipelineConfig:
@@ -244,8 +248,7 @@ def cmd_augment(args) -> int:
         if len({t.file_id for t in turns}) > 1:
             raise ValueError(f"{args.rttm}: --rttm must describe one file")
     # Speed and pitch run once; the noise-free stage is the SNR reference.
-    staged = augment_file(buf, replace(spec, noise_intensity=0.0))
-    out = add_noise(staged, spec.noise_intensity, spec.noise_kind, seed=spec.rng_seed)
+    staged, out = augment_stages(buf, spec)
     write_wav(args.output, out)
     line = f"wrote {args.output}"
     if spec.noise_intensity > 0:

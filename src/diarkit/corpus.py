@@ -12,6 +12,7 @@ import json
 import math
 import threading
 from collections import Counter
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass
 from itertools import starmap
 from pathlib import Path
@@ -175,15 +176,20 @@ def _synth(profile: SpeakerProfile, duration_s: float, seed: int) -> AudioBuffer
     return synth_utterance(profile, duration_s, seed=seed)
 
 
-def _map_in_workers(fn, jobs: list[tuple]) -> list:
-    """``[fn(*job) for job in jobs]``, computed in forked worker processes.
+@contextmanager
+def _map_in_workers(fn, jobs: list[tuple]):
+    """Yields an iterator over ``fn(*job) for job in jobs``, in job order.
 
-    ``fn`` must be a module-level function. One worker starts per usable
-    core, at most one per job, and all of them have exited on return.
-    The call runs inline when fewer than two workers would start, where
-    ``fork`` is unavailable, inside a multiprocessing child, and while
-    other threads are alive, since a forked copy of a threaded process
-    can inherit a lock that no thread will release.
+    ``fn`` must be a module-level function. The jobs start on entry in
+    forked worker processes, one per usable core and at most one per
+    job, so the caller can work while they run; the iterator yields each
+    result once it and those before it have arrived. All workers have
+    exited when the block is left, also on an exception. Where none can
+    start, each job runs inline when its result is read: when fewer than
+    two workers would start, where ``fork`` is unavailable, inside a
+    multiprocessing child, and while other threads are alive, since a
+    forked copy of a threaded process can inherit a lock that no thread
+    will release.
     """
     workers = min(_usable_cores(), len(jobs))
     if workers >= 2 and threading.active_count() == 1:
@@ -196,10 +202,20 @@ def _map_in_workers(fn, jobs: list[tuple]) -> list:
         ):
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
             try:
-                return list(pool.map(fn, *zip(*jobs)))
+                yield pool.map(fn, *zip(*jobs))
             finally:
                 pool.shutdown(cancel_futures=True)
-    return list(starmap(fn, jobs))
+            return
+    yield starmap(fn, jobs)
+
+
+def _synthesised(fn, jobs: list[tuple]):
+    """``_map_in_workers(fn, jobs)`` for jobs ``(profile, seconds, seed)``
+    that hold ``_FORK_MIN_SPEECH_S`` of speech or more; below that, the
+    same context with every job run inline as it is read."""
+    if sum(job[1] for job in jobs) >= _FORK_MIN_SPEECH_S:
+        return _map_in_workers(fn, jobs)
+    return nullcontext(starmap(fn, jobs))
 
 
 def _schedule_turns(n_speakers, duration_s, overlap_fraction, rng):
@@ -262,7 +278,8 @@ def generate_mixture(
 
     Zero speakers yields low-level white noise and no turns. Once the
     turns hold 60 s of speech or more, they are synthesised on every
-    usable core; the samples are the same as from one core. Raises
+    usable core; the samples are the same as from one core. Each
+    utterance is added as it arrives, so few are held at once. Raises
     BadSpeakerCount outside 0..4 and TooShort below 4 s with speakers.
     """
     if not 0 <= n_speakers <= 4:
@@ -300,27 +317,23 @@ def generate_mixture(
         (profiles[spk], offset - onset, int(rng.integers(0, 2**31)))
         for spk, onset, offset in schedule
     ]
-    if sum(job[1] for job in jobs) >= _FORK_MIN_SPEECH_S:
-        utts = _map_in_workers(_synth, jobs)
-    else:
-        utts = starmap(_synth, jobs)
     turns = []
-    for (spk, onset, offset), utt in zip(schedule, utts):
-        start = int(round(onset * RATE))
-        stop = min(start + len(utt), n)
-        x[start:stop] += utt.samples[: stop - start].astype(np.float64)
-        turns.append(
-            Turn(
-                file_id=file_id,
-                speaker_id=speaker_ids[spk],
-                onset_s=onset,
-                duration_s=round(offset - onset, 3),
+    with _synthesised(_synth, jobs) as utts:
+        for (spk, onset, offset), utt in zip(schedule, utts):
+            start = int(round(onset * RATE))
+            stop = min(start + len(utt), n)
+            x[start:stop] += utt.samples[: stop - start].astype(np.float64)
+            turns.append(
+                Turn(
+                    file_id=file_id,
+                    speaker_id=speaker_ids[spk],
+                    onset_s=onset,
+                    duration_s=round(offset - onset, 3),
+                )
             )
-        )
 
-    # Free the utterances and read max |x| without an |x| copy before the
-    # float32 copy below: an hour's x alone is 460 MB.
-    del utts
+    # Read max |x| without an |x| copy before the float32 copy below: an
+    # hour's x alone is 460 MB.
     peak = max(x.max(), -x.min())
     if peak > 0.97:
         x *= 0.97 / peak
@@ -473,7 +486,8 @@ def generate_dataset(
         out_dir.mkdir(parents=True, exist_ok=True)
         for folder in sorted(f for f, count in layout.items() if count):
             (out_dir / str(folder)).mkdir(exist_ok=True)
-        entries = _map_in_workers(_write_file, jobs)
+        with _map_in_workers(_write_file, jobs) as written:
+            entries = list(written)
     except OSError as exc:
         raise IoError(str(exc)) from exc
 

@@ -94,7 +94,15 @@ def snr_db(signal_power_ref: AudioBuffer, noise: AudioBuffer) -> float:
 
 
 def estimate_snr_db(noisy: AudioBuffer, clean_ref: AudioBuffer) -> float:
-    """SNR of `noisy` against a known clean reference: residual = noisy − clean."""
+    """SNR of `noisy` against a known clean reference: residual = noisy − clean.
+
+    Raises ValueError when the two rates differ and LengthMismatch when
+    the sample counts do.
+    """
+    if noisy.sample_rate_hz != clean_ref.sample_rate_hz:
+        raise ValueError(
+            f"noisy is at {noisy.sample_rate_hz} Hz, clean at {clean_ref.sample_rate_hz} Hz"
+        )
     if len(noisy) != len(clean_ref):
         raise LengthMismatch(f"noisy has {len(noisy)} samples, clean has {len(clean_ref)}")
     residual = AudioBuffer(

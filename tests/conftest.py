@@ -1,8 +1,18 @@
-"""Shared helpers for the test suite: signal builders and an FFT peak meter."""
+"""Shared helpers for the test suite: signal builders, an FFT peak meter,
+and a check that no test leaves a worker process running."""
+
+import multiprocessing
 
 import numpy as np
+import pytest
 
 from diarkit.audio_io import AudioBuffer
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left_running():
+    yield
+    assert multiprocessing.active_children() == [], "a worker process outlived the test"
 
 
 def tone(freq_hz: float, duration_s: float, rate_hz: int = 16000, amp: float = 0.5) -> AudioBuffer:

@@ -1,9 +1,12 @@
 """Augmentation laws: noise RMS ratio, pitch ratio, speed duration."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
 import diarkit.augment
+from diarkit import corpus
 from conftest import fft_peak_hz, tone
 from diarkit.audio_io import AudioBuffer, Turn
 from diarkit.augment import (
@@ -82,6 +85,49 @@ class TestAddNoise:
         silent = AudioBuffer(samples=np.zeros(8000, dtype=np.float32), sample_rate_hz=16000)
         with pytest.raises(SilentInput):
             add_noise(silent, 0.05)
+
+
+class TestForkedBabble:
+    """The four voices of a 16 s clip hold 64 s of speech, enough to be
+    synthesised in workers; two usable cores are assumed, so they fork
+    here on any machine."""
+
+    @pytest.fixture(autouse=True)
+    def two_cores(self, monkeypatch):
+        monkeypatch.setattr(corpus, "_usable_cores", lambda: 2)
+
+    @pytest.mark.parametrize("rate", [16000, 8000])
+    def test_forked_babble_equals_inline_and_oracle_voices(self, rate, monkeypatch):
+        buf = tone(220.0, 16.0, rate_hz=rate)
+        forked = add_noise(buf, 0.1, kind="babble", seed=5)
+        monkeypatch.setattr(corpus, "_usable_cores", lambda: 1)
+        inline = add_noise(buf, 0.1, kind="babble", seed=5)
+        monkeypatch.setattr(corpus, "_usable_cores", lambda: 2)
+        local_calls = []
+
+        def oracle(*args, **kwargs):
+            local_calls.append(1)
+            return synth_utterance_oracle(*args, **kwargs)
+
+        monkeypatch.setattr(diarkit.augment, "synth_utterance", oracle)
+        from_oracle = add_noise(buf, 0.1, kind="babble", seed=5)
+        assert local_calls == []
+        assert np.array_equal(forked.samples, inline.samples)
+        assert np.array_equal(forked.samples, from_oracle.samples)
+
+    def test_augment_file_equals_speed_then_pitch_then_noise(self):
+        buf = tone(310.0, 16.0)
+        spec = AugmentSpec(0.1, "babble", pitch_semitones=2.0, speed_factor=0.95, rng_seed=7)
+        staged = pitch_shift(speed_change(buf, 0.95), 2.0)
+        want = add_noise(staged, 0.1, kind="babble", seed=7)
+        assert np.array_equal(augment_file(buf, spec).samples, want.samples)
+
+    def test_a_silent_stage_raises_and_leaves_no_worker(self):
+        silent = AudioBuffer(samples=np.zeros(16 * 16000, dtype=np.float32), sample_rate_hz=16000)
+        spec = AugmentSpec(0.1, "babble", pitch_semitones=2.0, speed_factor=0.95)
+        with pytest.raises(SilentInput):
+            augment_file(silent, spec)
+        assert multiprocessing.active_children() == []
 
 
 class TestSpeedChange:

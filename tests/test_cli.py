@@ -460,6 +460,13 @@ def test_corpus_seed_env_fallback(tmp_path, monkeypatch, capsys):
     assert env_wav.read_bytes() == flag_wav.read_bytes()
 
 
+def test_a_seed_variable_that_is_no_integer_exits_4_naming_it(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("DIARKIT_SEED", "abc")
+    assert main(["corpus", str(tmp_path / "env"), "--layout", "1:1"]) == EXIT_VALIDATION
+    assert "DIARKIT_SEED must be an integer, got 'abc'" in capsys.readouterr().err
+    assert not (tmp_path / "env").exists()
+
+
 def test_corpus_split_apportions_each_folder_by_split_counts(tmp_path, capsys):
     out = tmp_path / "out"
     argv = ["corpus", str(out), "--layout", "1:5,2:4", "--split", "0.4,0.4,0.2", "--seed", "3"]
@@ -960,6 +967,18 @@ def test_snr_command_reports_json_and_summary(mixture_wav, tmp_path, capsys):
     payload = json.loads(out.splitlines()[0])
     assert payload["snr_db"] == pytest.approx(20.0, abs=0.5)
     assert "SNR: " in out
+
+
+def test_snr_of_files_at_different_rates_exits_4_naming_both(mixture_wav, tmp_path, capsys):
+    # The same sample count at 8 kHz: the residual alone would read 40 dB.
+    clean = read_wav(mixture_wav)
+    noisy = add_noise(clean, 0.01, seed=1)
+    other = tmp_path / "at_8k.wav"
+    write_wav(other, AudioBuffer(noisy.samples, 8000))
+    assert main(["snr", str(mixture_wav), str(other)]) == EXIT_VALIDATION
+    captured = capsys.readouterr()
+    assert "8000 Hz" in captured.err and "16000 Hz" in captured.err
+    assert "SNR" not in captured.out
 
 
 def test_diarize_exports_the_vectors_it_clustered_with_denoise(tmp_path, monkeypatch, capsys):

@@ -280,6 +280,11 @@ def _mixture_counting_local_synth_calls(*args, **kwargs):
     return buf, turns, len(calls)
 
 
+def _mapped(fn, jobs):
+    with corpus._map_in_workers(fn, jobs) as results:
+        return list(results)
+
+
 class TestWorkerPool:
     def test_tree_equals_a_file_by_file_rebuild(self, tmp_path):
         # The per-file seeds that generate_dataset documents.
@@ -340,9 +345,9 @@ class TestWorkerPool:
         monkeypatch.setattr(ProcessPoolExecutor, "__init__", spy)
         jobs = [(i + 3, i) for i in range(7)]
         want = [math.comb(*job) for job in jobs]
-        assert corpus._map_in_workers(math.comb, jobs) == want
-        assert corpus._map_in_workers(math.comb, jobs[:1]) == want[:1]
-        assert corpus._map_in_workers(math.comb, []) == []
+        assert _mapped(math.comb, jobs) == want
+        assert _mapped(math.comb, jobs[:1]) == want[:1]
+        assert _mapped(math.comb, []) == []
         assert started == ([min(_usable_cores(), 7)] if _usable_cores() >= 2 else [])
         assert multiprocessing.active_children() == []
 
@@ -357,13 +362,64 @@ class TestWorkerPool:
         waiter = threading.Thread(target=release.wait)
         waiter.start()
         try:
-            assert corpus._map_in_workers(math.comb, jobs) == want
+            assert _mapped(math.comb, jobs) == want
         finally:
             release.set()
             waiter.join(timeout=10)
         assert not waiter.is_alive()
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
-        assert corpus._map_in_workers(math.comb, jobs) == want
+        assert _mapped(math.comb, jobs) == want
+
+    def test_jobs_start_on_entry_and_run_inline_only_when_read(self, monkeypatch):
+        started = []
+        real = ProcessPoolExecutor.__init__
+
+        def spy(self, max_workers=None, *args, **kwargs):
+            started.append(max_workers)
+            real(self, max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "__init__", spy)
+        monkeypatch.setattr(corpus, "_usable_cores", lambda: 2)
+        jobs = [(i + 3, i) for i in range(5)]
+        with corpus._map_in_workers(math.comb, jobs) as results:
+            assert started == [2]
+            assert next(results) == math.comb(*jobs[0])
+        assert multiprocessing.active_children() == []
+
+        calls = []
+
+        def counted(n, k):
+            calls.append((n, k))
+            return math.comb(n, k)
+
+        monkeypatch.setattr(corpus, "_usable_cores", lambda: 1)
+        with corpus._map_in_workers(counted, jobs) as results:
+            assert calls == []
+            assert next(results) == math.comb(*jobs[0])
+            assert calls == jobs[:1]
+        assert started == [2]
+
+    def test_forked_mixture_adds_each_utterance_as_it_arrives(self, monkeypatch):
+        # While the turns are added, the process holds the float64 mix and
+        # a few utterances. All of them together are 41 % of the mix's bytes.
+        monkeypatch.setattr(corpus, "_usable_cores", lambda: 2)
+        held = []
+        real_turn = corpus.Turn
+
+        def turn(*args, **kwargs):
+            held.append(tracemalloc.get_traced_memory()[0])
+            return real_turn(*args, **kwargs)
+
+        monkeypatch.setattr(corpus, "Turn", turn)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            buf, turns = generate_mixture(2, 90.0, overlap_fraction=0.0, seed=3)
+        finally:
+            tracemalloc.stop()
+        assert sum(t.duration_s for t in turns) >= corpus._FORK_MIN_SPEECH_S
+        mix_bytes = 8 * len(buf)
+        assert max(held) - before <= 1.2 * mix_bytes
 
     def test_a_write_error_in_a_worker_raises_io_error(self, tmp_path):
         (tmp_path / "tree" / "1" / "1_001.wav").mkdir(parents=True)

@@ -122,6 +122,17 @@ def test_estimate_snr_constructed_level():
     assert abs(estimate_snr_db(noisy, clean) - 12.5) <= 0.3
 
 
+def test_estimate_snr_refuses_mismatched_rates_before_any_arithmetic():
+    a = tone(440.0, 0.5)
+    b = AudioBuffer(a.samples, 8000)
+    with pytest.raises(ValueError, match="16000 Hz.*8000 Hz"):
+        estimate_snr_db(a, b)
+    longer = AudioBuffer(tone(440.0, 0.6).samples, 8000)
+    with pytest.raises(ValueError, match="Hz") as raised:
+        estimate_snr_db(a, longer)
+    assert not isinstance(raised.value, LengthMismatch)
+
+
 def test_estimate_snr_length_mismatch():
     a = tone(440.0, 0.5)
     b = tone(440.0, 0.6)
